@@ -78,7 +78,9 @@ from .synth import (
     synth_all_powers,
     synth_level,
     synth_me_operator,
+    synth_powers,
     transition_order,
+    truncate,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -101,6 +102,17 @@ class LeveledCircuit:
     def gate_count(self) -> int:
         return sum(len(level) for level in self.levels)
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Compiled form, built on first use: ``table[w]`` is the image of basis state w."""
+        out = np.arange(1 << self.n_qubits, dtype=np.int64)
+        for gate in self.gates():
+            care = sum(1 << c.qubit for c in gate.controls)
+            fire = sum(1 << c.qubit for c in gate.controls if not c.negated)
+            out[((out ^ fire) & care) == 0] ^= 1 << gate.target
+        out.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True)
 class PermutationTable:
@@ -123,15 +135,11 @@ def apply_to_basis(circuit: LeveledCircuit, w: int) -> int:
 
 
 def apply_to_basis_array(circuit: LeveledCircuit, values: np.ndarray) -> np.ndarray:
-    """Vectorized apply_to_basis over an integer array of basis states."""
-    out = np.array(values, dtype=np.int64, copy=True)
-    for gate in circuit.gates():
-        mask = np.ones(out.shape, dtype=bool)
-        for c in gate.controls:
-            bit = (out >> c.qubit) & 1
-            mask &= (bit == 0) if c.negated else (bit == 1)
-        out[mask] ^= 1 << gate.target
-    return out
+    """apply_to_basis over an integer array of basis states, read from the table."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and not (0 <= values.min() and values.max() < 1 << circuit.n_qubits):
+        raise ValueError(f"basis states outside {circuit.n_qubits} qubits")
+    return circuit.table[values]
 
 
 def _apply_gate_dense(state: np.ndarray, gate_target: int,
@@ -167,7 +175,7 @@ def apply_to_statevector(circuit: LeveledCircuit, state: np.ndarray) -> np.ndarr
 def permutation_table(circuit: LeveledCircuit, domain: Iterable[int]) -> PermutationTable:
     dom = tuple(domain)
     return PermutationTable(
-        domain=dom, image=tuple(apply_to_basis(circuit, w) for w in dom)
+        domain=dom, image=tuple(apply_to_basis_array(circuit, dom).tolist())
     )
 
 

@@ -12,19 +12,20 @@ Exit codes: 0 success (including a factor found), 2 validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import circuit as circuit_mod
 from . import qasm
-from .circuit import LeveledCircuit
 from .experiments import resolution_study, study_csv, study_json, tries_until_factor
 from .modmath import FactoringInstance, NotCoprimeError, build_orbit
 from .shor import exact_distribution, histogram_csv, sample
-from .synth import synth_all_powers, synth_me_operator
+from .synth import synth_all_powers, synth_powers
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -32,9 +33,18 @@ EXIT_NO_FACTORS = 3
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write a unique temp file beside path, give it a plain create's mode, rename it."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(args: argparse.Namespace, event: dict, text: str) -> None:
@@ -115,12 +125,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ValueError(f"--trnc-lv {args.trnc_lv} must be < r = {orbit.r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache: dict[int, LeveledCircuit] = {}
-    for p in powers:
-        key = p % orbit.r
-        if key not in cache:
-            cache[key] = synth_me_operator(orbit, p, args.trnc_lv)
-        circ = cache[key]
+    for p, shared in zip(powers, synth_powers(orbit, powers, args.trnc_lv)):
+        circ = dataclasses.replace(shared, power=p)
         stem = f"me_N{args.N}_a{args.a}_p{p}_trnc{args.trnc_lv}"
         if args.format == "json":
             path = out_dir / f"{stem}.json"
@@ -314,9 +320,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotCoprimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

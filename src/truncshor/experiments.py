@@ -21,7 +21,7 @@ import numpy as np
 from .circuit import LeveledCircuit
 from .modmath import FactoringInstance, Orbit, analyze_measurement, build_orbit
 from .shor import PhaseDistribution, exact_distribution, nearest_phase_bin
-from .synth import synth_all_powers
+from .synth import synth_all_powers, truncate
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -111,38 +111,6 @@ class TriesResult:
         return sum(self.capped) / len(self.capped)
 
 
-def _run_level(
-    instance: FactoringInstance,
-    orbit: Orbit,
-    trnc_lv: int,
-    num_it: int,
-    base_seed: int,
-    max_tries: int,
-) -> tuple[TriesResult, PhaseDistribution]:
-    circuits = synth_all_powers(orbit, instance.m, trnc_lv)
-    dist = exact_distribution(instance, circuits)
-    tries: list[int] = []
-    capped: list[bool] = []
-    for it in range(num_it):
-        outcome = tries_until_factor(
-            instance,
-            circuits,
-            seed=derive_seed(base_seed, trnc_lv, it),
-            max_tries=max_tries,
-            dist=dist,
-        )
-        tries.append(outcome.tries)
-        capped.append(outcome.capped)
-    result = TriesResult(
-        instance=instance,
-        trnc_lv=trnc_lv,
-        num_it=num_it,
-        tries=tuple(tries),
-        capped=tuple(capped),
-    )
-    return result, dist
-
-
 def truncation_sweep(
     instance: FactoringInstance,
     trnc_range: Iterable[int],
@@ -150,19 +118,13 @@ def truncation_sweep(
     base_seed: int,
     max_tries: int = 500,
 ) -> list[TriesResult]:
-    """Ensemble means across truncation levels.
+    """Ensemble means across truncation levels: a resolution study at instance.m.
 
-    Circuits and the exact distribution are synthesized once per level;
-    iteration i at level t uses seed derive_seed(base_seed, t, i).
+    Iteration i at level t uses seed derive_seed(base_seed, t, i).
     """
-    if num_it < 1:
-        raise ValueError(f"num_it must be >= 1, got {num_it}")
-    orbit = build_orbit(instance)
-    out = []
-    for trnc_lv in trnc_range:
-        result, _ = _run_level(instance, orbit, trnc_lv, num_it, base_seed, max_tries)
-        out.append(result)
-    return out
+    trnc_levels = list(trnc_range)
+    cells = resolution_study(instance, [instance.m], trnc_levels, num_it, base_seed, max_tries)
+    return [cells[(instance.m, t)].result for t in trnc_levels]
 
 
 def peak_presence(
@@ -207,63 +169,73 @@ def resolution_study(
     base_seed: int,
     max_tries: int = 500,
 ) -> dict[tuple[int, int], ResolutionCell]:
-    """Truncation sweep at several control widths, with peak-presence tables."""
+    """Truncation sweep at several control widths, with peak-presence tables.
+
+    The powers are synthesized once, at the largest m: the circuit for
+    2**q does not depend on m, and truncation only empties trailing levels.
+    Iteration i at level t uses seed derive_seed(base_seed, t, i).
+    """
+    if num_it < 1:
+        raise ValueError(f"num_it must be >= 1, got {num_it}")
+    m_values = list(m_values)
     trnc_levels = list(trnc_range)
+    orbit = build_orbit(instance)
+    full = synth_all_powers(orbit, max(m_values, default=0))
     out: dict[tuple[int, int], ResolutionCell] = {}
     for m in m_values:
         inst_m = replace(instance, m=m)
-        orbit = build_orbit(inst_m)
         for trnc_lv in trnc_levels:
-            result, dist = _run_level(inst_m, orbit, trnc_lv, num_it, base_seed, max_tries)
+            circuits = [truncate(c, trnc_lv) for c in full[:m]]
+            dist = exact_distribution(inst_m, circuits)
+            outcomes = [
+                tries_until_factor(
+                    inst_m,
+                    circuits,
+                    seed=derive_seed(base_seed, trnc_lv, it),
+                    max_tries=max_tries,
+                    dist=dist,
+                )
+                for it in range(num_it)
+            ]
+            result = TriesResult(
+                instance=inst_m,
+                trnc_lv=trnc_lv,
+                num_it=num_it,
+                tries=tuple(o.tries for o in outcomes),
+                capped=tuple(o.capped for o in outcomes),
+            )
             out[(m, trnc_lv)] = ResolutionCell(
                 result=result, peaks=peak_presence(inst_m, orbit, dist)
             )
     return out
 
 
+_STUDY_COLUMNS = ("N", "a", "r", "n", "m", "trnc_lv", "num_it", "mean_tries", "capped_fraction")
+
+
+def _study_row(res: TriesResult) -> dict:
+    inst = res.instance
+    values = (
+        inst.N, inst.a, build_orbit(inst).r, inst.n, inst.m,
+        res.trnc_lv, res.num_it, res.mean, res.capped_fraction,
+    )
+    return dict(zip(_STUDY_COLUMNS, values))
+
+
 def study_csv(results: Sequence[TriesResult]) -> str:
     """CSV rows keyed by (m, trnc_lv): N,a,r,n,m,trnc_lv,num_it,mean_tries,capped_fraction."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["N", "a", "r", "n", "m", "trnc_lv", "num_it", "mean_tries", "capped_fraction"]
-    )
+    writer.writerow(_STUDY_COLUMNS)
     for res in results:
-        inst = res.instance
-        writer.writerow(
-            [
-                inst.N,
-                inst.a,
-                build_orbit(inst).r,
-                inst.n,
-                inst.m,
-                res.trnc_lv,
-                res.num_it,
-                repr(res.mean),
-                repr(res.capped_fraction),
-            ]
-        )
+        writer.writerow(_study_row(res).values())
     return buf.getvalue()
 
 
 def study_json(results: Sequence[TriesResult]) -> str:
     """JSON mirror of study_csv including the per-iteration arrays."""
-    rows = []
-    for res in results:
-        inst = res.instance
-        rows.append(
-            {
-                "N": inst.N,
-                "a": inst.a,
-                "r": build_orbit(inst).r,
-                "n": inst.n,
-                "m": inst.m,
-                "trnc_lv": res.trnc_lv,
-                "num_it": res.num_it,
-                "mean_tries": res.mean,
-                "capped_fraction": res.capped_fraction,
-                "tries": list(res.tries),
-                "capped": list(res.capped),
-            }
-        )
+    rows = [
+        {**_study_row(res), "tries": list(res.tries), "capped": list(res.capped)}
+        for res in results
+    ]
     return json.dumps({"rows": rows}, indent=2)

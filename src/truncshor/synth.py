@@ -21,14 +21,13 @@ Truncation then simply empties the last ``trnc_lv`` levels.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .circuit import (
     Control,
     Gate,
     LeveledCircuit,
-    VERSION_PER_POWER,
     VERSION_TRUNCATED,
 )
 from .modmath import CycleDecomposition, Orbit, cycle_decomposition
@@ -141,7 +140,6 @@ class SynthesisState:
 
     trajectories: dict[int, int]
     protected: set[int] = field(default_factory=set)
-    level_index: int = 0
 
     def advance(self, gates: Sequence[Gate]) -> None:
         for state in self.trajectories:
@@ -161,11 +159,23 @@ def transition_order(decomp: CycleDecomposition) -> list[tuple[int, int]]:
     return out
 
 
-def synth_me_operator(orbit: Orbit, p: int, trnc_lv: int = 0) -> LeveledCircuit:
-    """Synthesize U**p on the orbit, then empty the last trnc_lv levels."""
-    r = orbit.r
+def truncate(circuit: LeveledCircuit, trnc_lv: int) -> LeveledCircuit:
+    """The circuit with its last trnc_lv levels emptied (0 gives it back as is)."""
+    r = circuit.num_levels
     if not 0 <= trnc_lv < r:
         raise ValueError(f"trnc_lv={trnc_lv} outside [0, {r})")
+    if not trnc_lv:
+        return circuit
+    return replace(
+        circuit,
+        levels=circuit.levels[: r - trnc_lv] + ((),) * trnc_lv,
+        trnc_lv=trnc_lv,
+        version=VERSION_TRUNCATED,
+    )
+
+
+def synth_me_operator(orbit: Orbit, p: int, trnc_lv: int = 0) -> LeveledCircuit:
+    """Synthesize U**p on the orbit, then empty the last trnc_lv levels."""
     n = orbit.instance.n
     decomp = cycle_decomposition(orbit, p)
     state = SynthesisState(trajectories={s: s for s in orbit.states})
@@ -178,31 +188,27 @@ def synth_me_operator(orbit: Orbit, p: int, trnc_lv: int = 0) -> LeveledCircuit:
         levels.append(tuple(gates))
         state.advance(gates)
         state.protected.add(tgt)
-        state.level_index += 1
-    if trnc_lv:
-        levels[r - trnc_lv :] = [()] * trnc_lv
-    return LeveledCircuit(
-        n_qubits=n,
-        power=p,
-        levels=tuple(levels),
-        trnc_lv=trnc_lv,
-        version=VERSION_TRUNCATED if trnc_lv else VERSION_PER_POWER,
-    )
+    full = LeveledCircuit(n_qubits=n, power=p, levels=tuple(levels))
+    return truncate(full, trnc_lv)
 
 
-def synth_all_powers(orbit: Orbit, m: int, trnc_lv: int = 0) -> list[LeveledCircuit]:
-    """Circuits for p = 2**0 ... 2**(m-1), sharing equal-action duplicates.
+def synth_powers(
+    orbit: Orbit, powers: Iterable[int], trnc_lv: int = 0
+) -> list[LeveledCircuit]:
+    """One circuit per power; powers congruent mod r share one circuit object.
 
-    Powers congruent mod r act identically on the orbit and synthesize to
-    identical gate lists, so they share one circuit object.
+    They act identically on the orbit, so each residue is synthesized once, at its first power.
     """
-    r = orbit.r
     cache: dict[int, LeveledCircuit] = {}
     out = []
-    for q in range(m):
-        p = 1 << q
-        key = p % r
+    for p in powers:
+        key = p % orbit.r
         if key not in cache:
             cache[key] = synth_me_operator(orbit, p, trnc_lv)
         out.append(cache[key])
     return out
+
+
+def synth_all_powers(orbit: Orbit, m: int, trnc_lv: int = 0) -> list[LeveledCircuit]:
+    """Circuits for p = 2**0 ... 2**(m-1), shared as in ``synth_powers``."""
+    return synth_powers(orbit, [1 << q for q in range(m)], trnc_lv)

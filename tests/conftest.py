@@ -1,5 +1,6 @@
 import pytest
 
+import truncshor.synth
 from truncshor import FactoringInstance, build_orbit, synth_all_powers
 
 # (base, control width) per modulus studied here.
@@ -26,3 +27,17 @@ def orbits(instances):
 def circuit_sets(orbits):
     """Untruncated circuits for p = 2^0 .. 2^(m-1), per modulus."""
     return {N: synth_all_powers(orbits[N], CASES[N][1]) for N in CASES}
+
+
+@pytest.fixture
+def synth_calls(monkeypatch):
+    """(p, trnc_lv) of every synth_me_operator call made while the test runs."""
+    calls = []
+    original = truncshor.synth.synth_me_operator
+
+    def counting(orbit, p, trnc_lv=0):
+        calls.append((p, trnc_lv))
+        return original(orbit, p, trnc_lv)
+
+    monkeypatch.setattr(truncshor.synth, "synth_me_operator", counting)
+    return calls

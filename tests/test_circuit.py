@@ -134,6 +134,14 @@ def test_apply_to_basis_array_matches_scalar():
         assert [apply_to_basis(c, int(w)) for w in values] == list(vec)
 
 
+def test_apply_to_basis_array_rejects_out_of_range(circuit_sets):
+    u = circuit_sets[21][0]
+    for bad in ([-1], [0, 32]):
+        with pytest.raises(ValueError):
+            apply_to_basis_array(u, np.array(bad))
+    assert apply_to_basis_array(u, np.array([], dtype=np.int64)).shape == (0,)
+
+
 def test_statevector_on_me_operator(orbits, circuit_sets):
     u = circuit_sets[21][0]
     e16 = np.zeros(32, dtype=complex)

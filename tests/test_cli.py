@@ -1,5 +1,6 @@
 import csv
 import json
+import stat
 
 import pytest
 
@@ -71,9 +72,21 @@ def test_synth_writes_files(tmp_path, capsys):
     d2 = json.loads((tmp_path / "me_N21_a2_p2_trnc0.json").read_text())
     d8 = json.loads((tmp_path / "me_N21_a2_p8_trnc0.json").read_text())
     assert d2["levels"] == d8["levels"]
+    assert d2["power"] == 2
+    assert d8["power"] == 8
     cert = json.loads((tmp_path / "me_N21_a2_p1_trnc0_cert.json").read_text())
     assert cert["domain"] == [1, 2, 4, 8, 16, 11]
     assert cert["image"] == [2, 4, 8, 16, 11, 1]
+
+
+@pytest.mark.parametrize("spec, synthesized", [("1:16", 3), ("2048", 1)])
+def test_synth_shares_congruent_powers(tmp_path, capsys, synth_calls, spec, synthesized):
+    # N=21 has r = 6: 1, 2, 4 are distinct mod 6 and 8, 16 repeat 2, 4
+    code, _, _ = run_cli(
+        capsys, "synth", "--N", "21", "--a", "2", "--powers", spec, "--out", str(tmp_path)
+    )
+    assert code == 0
+    assert len(synth_calls) == synthesized
 
 
 def test_synth_certificates_encode_orbit_action(tmp_path, capsys):
@@ -224,6 +237,46 @@ def test_study_deterministic(tmp_path, capsys):
         )
         assert code == 0
     assert f1.read_text() == f2.read_text()
+
+
+@pytest.mark.parametrize("num_it", ["0", "-1"])
+def test_study_rejects_nonpositive_num_it(tmp_path, capsys, num_it):
+    out_file = tmp_path / "study.csv"
+    code, _, err = run_cli(
+        capsys,
+        "study", "--N", "21", "--a", "2", "--m", "5", "--trnc", "0:1",
+        "--num-it", num_it, "--seed", "1", "--out", str(out_file),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "num_it" in err
+    assert not out_file.exists()
+
+
+def test_atomic_write_ignores_stale_temp_name(tmp_path, capsys):
+    # a leftover "<out>.tmp" directory must not block the write
+    out_file = tmp_path / "hist.csv"
+    blocker = tmp_path / "hist.csv.tmp"
+    blocker.mkdir()
+    code, _, _ = run_cli(
+        capsys, "run", "--N", "21", "--a", "2", "--m", "5", "--out", str(out_file)
+    )
+    assert code == 0
+    _, expected, _ = run_cli(capsys, "run", "--N", "21", "--a", "2", "--m", "5")
+    assert out_file.read_text() == expected
+    assert sorted(tmp_path.glob("*.tmp")) == [blocker]
+    reference = tmp_path / "reference.csv"
+    reference.write_text(expected)
+    assert stat.S_IMODE(out_file.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, _, err = run_cli(
+        capsys, "run", "--N", "21", "--a", "2", "--m", "5", "--out", str(target)
+    )
+    assert code == 2 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_validation_exit_codes(capsys):

@@ -135,3 +135,12 @@ def test_study_csv_and_json(instances):
 def test_seed_required_semantics():
     with pytest.raises(ValueError):
         truncation_sweep(FactoringInstance(N=21, a=2, m=5), [0], num_it=0, base_seed=1)
+
+
+def test_resolution_study_synthesizes_once_per_residue(synth_calls):
+    # N=21 has r = 6; powers 1..16 fall on the residues 1, 2, 4
+    cells = resolution_study(
+        FactoringInstance(N=21, a=2, m=5), [4, 5], range(3), num_it=2, base_seed=3
+    )
+    assert len(cells) == 6
+    assert synth_calls == [(1, 0), (2, 0), (4, 0)]
