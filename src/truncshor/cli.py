@@ -89,16 +89,20 @@ def _parse_int_list(spec: str) -> list[int]:
     return [int(tok) for tok in spec.split(",") if tok]
 
 
+def _report_common_factor(args: argparse.Namespace, e: NotCoprimeError, **extra) -> int:
+    _emit(
+        args,
+        {"event": "factor", "N": args.N, "a": args.a, "factors": [e.common, args.N // e.common], **extra},
+        f"gcd({args.a}, {args.N}) = {e.common}: factors {e.common} x {args.N // e.common}",
+    )
+    return EXIT_OK
+
+
 def cmd_orbit(args: argparse.Namespace) -> int:
     try:
         instance = FactoringInstance(N=args.N, a=args.a, m=1)
     except NotCoprimeError as e:
-        _emit(
-            args,
-            {"event": "factor", "N": args.N, "a": args.a, "factors": [e.common, args.N // e.common]},
-            f"gcd({args.a}, {args.N}) = {e.common}: factors {e.common} x {args.N // e.common}",
-        )
-        return EXIT_OK
+        return _report_common_factor(args, e)
     orbit = build_orbit(instance)
     closed = list(orbit.states) + [1]
     if args.quiet:
@@ -118,14 +122,12 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    instance = FactoringInstance(N=args.N, a=args.a, m=1)
-    orbit = build_orbit(instance)
+    orbit = build_orbit(FactoringInstance(N=args.N, a=args.a, m=1))
     powers = _parse_powers(args.powers)
-    if args.trnc_lv >= orbit.r:
-        raise ValueError(f"--trnc-lv {args.trnc_lv} must be < r = {orbit.r}")
+    circuits = synth_powers(orbit, powers, args.trnc_lv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for p, shared in zip(powers, synth_powers(orbit, powers, args.trnc_lv)):
+    for p, shared in zip(powers, circuits):
         circ = dataclasses.replace(shared, power=p)
         stem = f"me_N{args.N}_a{args.a}_p{p}_trnc{args.trnc_lv}"
         if args.format == "json":
@@ -147,10 +149,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     instance = FactoringInstance(N=args.N, a=args.a, m=args.m)
-    orbit = build_orbit(instance)
-    if args.trnc_lv >= orbit.r:
-        raise ValueError(f"--trnc-lv {args.trnc_lv} must be < r = {orbit.r}")
-    circuits = synth_all_powers(orbit, args.m, args.trnc_lv)
+    circuits = synth_all_powers(build_orbit(instance), args.m, args.trnc_lv)
     dist = exact_distribution(instance, circuits)
     sampled = None
     if args.shots:
@@ -174,16 +173,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
     try:
         instance = FactoringInstance(N=args.N, a=args.a, m=args.m)
     except NotCoprimeError as e:
-        _emit(
-            args,
-            {"event": "factor", "N": args.N, "a": args.a, "factors": [e.common, args.N // e.common], "tries": 0},
-            f"gcd({args.a}, {args.N}) = {e.common}: factors {e.common} x {args.N // e.common}",
-        )
-        return EXIT_OK
-    orbit = build_orbit(instance)
-    if args.trnc_lv >= orbit.r:
-        raise ValueError(f"--trnc-lv {args.trnc_lv} must be < r = {orbit.r}")
-    circuits = synth_all_powers(orbit, args.m, args.trnc_lv)
+        return _report_common_factor(args, e, tries=0)
+    circuits = synth_all_powers(build_orbit(instance), args.m, args.trnc_lv)
     outcome = tries_until_factor(instance, circuits, seed=args.seed, max_tries=args.max_tries)
     if outcome.capped:
         _emit(
@@ -212,9 +203,6 @@ def cmd_study(args: argparse.Namespace) -> int:
     instance = FactoringInstance(N=args.N, a=args.a, m=max(_parse_int_list(args.m)))
     trnc_levels = _parse_range(args.trnc)
     m_values = _parse_int_list(args.m)
-    orbit = build_orbit(instance)
-    if any(t >= orbit.r for t in trnc_levels):
-        raise ValueError(f"--trnc levels must be < r = {orbit.r}")
     cells = resolution_study(
         instance,
         m_values,
@@ -224,25 +212,23 @@ def cmd_study(args: argparse.Namespace) -> int:
         max_tries=args.max_tries,
     )
     results = [cells[(m, t)].result for m in m_values for t in trnc_levels]
-    csv_text = study_csv(results)
     out_path = Path(args.out)
-    _write_atomic(out_path, csv_text)
+    _write_atomic(out_path, study_csv(results))
     json_path = out_path.with_suffix(".json")
     _write_atomic(json_path, study_json(results) + "\n")
-    for m in m_values:
-        for t in trnc_levels:
-            res = cells[(m, t)].result
-            _emit(
-                args,
-                {
-                    "event": "study-row",
-                    "m": m,
-                    "trnc_lv": t,
-                    "mean_tries": res.mean,
-                    "capped_fraction": res.capped_fraction,
-                },
-                f"m={m} trnc_lv={t}: mean tries {res.mean:.2f} (capped {res.capped_fraction:.2%})",
-            )
+    for res in results:
+        m, t = res.instance.m, res.trnc_lv
+        _emit(
+            args,
+            {
+                "event": "study-row",
+                "m": m,
+                "trnc_lv": t,
+                "mean_tries": res.mean,
+                "capped_fraction": res.capped_fraction,
+            },
+            f"m={m} trnc_lv={t}: mean tries {res.mean:.2f} (capped {res.capped_fraction:.2%})",
+        )
     _emit(
         args,
         {"event": "study", "csv": str(out_path), "json": str(json_path)},

@@ -12,15 +12,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .circuit import LeveledCircuit
 from .modmath import FactoringInstance, Orbit, analyze_measurement, build_orbit
-from .shor import PhaseDistribution, exact_distribution, nearest_phase_bin
+from .shor import EigenphaseSet, PhaseDistribution, exact_distribution, nearest_phase_bin
 from .synth import synth_all_powers, truncate
 
 _MASK64 = (1 << 64) - 1
@@ -46,12 +44,6 @@ def derive_seed(base_seed: int, *parts: int) -> int:
     for part in parts:
         x = _mix64(x ^ ((part & _MASK64) + _GAMMA))
     return x
-
-
-@lru_cache(maxsize=None)
-def _produces_factors(N: int, a: int, m: int, l: int) -> bool:
-    instance = FactoringInstance(N=N, a=a, m=m)
-    return analyze_measurement(instance, l).factors is not None
 
 
 @dataclass(frozen=True)
@@ -82,14 +74,16 @@ def tries_until_factor(
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     if dist is None:
         dist = exact_distribution(instance, circuits)
+    if dist.m != instance.m:
+        raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
     rng = np.random.default_rng(seed)
     draws = rng.choice(dist.M, size=max_tries, p=dist.probabilities / dist.probabilities.sum())
-    for i, l in enumerate(draws, start=1):
-        l = int(l)
-        if _produces_factors(instance.N, instance.a, instance.m, l):
-            report = analyze_measurement(instance, l)
-            return TryOutcome(tries=i, capped=False, l=l, factors=report.factors)
-    return TryOutcome(tries=max_tries, capped=True)
+    hits = instance.factor_mask[draws]
+    if not hits.any():
+        return TryOutcome(tries=max_tries, capped=True)
+    i = int(hits.argmax())
+    report = analyze_measurement(instance, int(draws[i]))
+    return TryOutcome(tries=i + 1, capped=False, l=report.l_measured, factors=report.factors)
 
 
 @dataclass(frozen=True)
@@ -140,16 +134,10 @@ def peak_presence(
     r = orbit.r
     M = instance.M
     out: dict[int, bool] = {}
-    for s in range(1, r):
-        if gcd(s, r) != 1:
-            continue
+    for s in EigenphaseSet.from_period(r).factor_producing:
         center = nearest_phase_bin(s, r, M)
-        mass = 0.0
-        for l in (center - 1, center, center + 1):
-            l %= M
-            if _produces_factors(instance.N, instance.a, instance.m, l):
-                mass += float(dist.probabilities[l])
-        out[s] = mass > 2.0 / M
+        bins = [(center + d) % M for d in (-1, 0, 1)]
+        out[s] = sum(float(dist.probabilities[l]) for l in bins if instance.factor_mask[l]) > 2.0 / M
     return out
 
 
@@ -181,11 +169,12 @@ def resolution_study(
     trnc_levels = list(trnc_range)
     orbit = build_orbit(instance)
     full = synth_all_powers(orbit, max(m_values, default=0))
+    truncated = {t: [truncate(c, t) for c in full] for t in trnc_levels}
     out: dict[tuple[int, int], ResolutionCell] = {}
     for m in m_values:
         inst_m = replace(instance, m=m)
         for trnc_lv in trnc_levels:
-            circuits = [truncate(c, trnc_lv) for c in full[:m]]
+            circuits = truncated[trnc_lv][:m]
             dist = exact_distribution(inst_m, circuits)
             outcomes = [
                 tries_until_factor(

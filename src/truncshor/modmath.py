@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
+
+import numpy as np
 
 
 class NotCoprimeError(ValueError):
@@ -77,6 +80,27 @@ class FactoringInstance:
     def M(self) -> int:
         """Number of control-register states, 2**m."""
         return 1 << self.m
+
+    @cached_property
+    def factor_mask(self) -> np.ndarray:
+        """Built on first use: ``factor_mask[l]`` says whether analyzing outcome l yields factors.
+
+        A convergent denominator q splits N iff the period r is even, a**(r/2) != -1
+        mod N and q is an odd multiple of r, so one vectorized Euclid pass decides every l.
+        """
+        r = build_orbit(self).r
+        mask = np.zeros(self.M, dtype=bool)
+        if r % 2 == 0 and mod_pow(self.a, r // 2, self.N) != self.N - 1:
+            l = np.arange(1, self.M)  # l = 0 has the single denominator 1
+            u, v, q, q_prev = np.full_like(l, self.M), l, np.ones_like(l), np.zeros_like(l)
+            while l.size:
+                u, v, q, q_prev = v, u % v, (u // v) * q + q_prev, q
+                hit = q % (2 * r) == r
+                mask[l[hit]] = True
+                keep = ~hit & (v != 0)
+                l, u, v, q, q_prev = l[keep], u[keep], v[keep], q[keep], q_prev[keep]
+        mask.flags.writeable = False
+        return mask
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .circuit import (
     apply_to_basis_array,
     apply_to_statevector,
 )
-from .modmath import FactoringInstance, Orbit, analyze_measurement
+from .modmath import FactoringInstance, Orbit
 
 
 class TooLargeError(ValueError):
@@ -234,8 +234,10 @@ def histogram_csv(
     """CSV with one row per outcome carrying nonzero probability or count.
 
     Columns: ell, phase_binary, phase_decimal, probability, counts,
-    produces_factors.
+    produces_factors (``instance.factor_mask``).
     """
+    if dist.m != instance.m:
+        raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
     M = instance.M
     counts = sampled.counts if sampled is not None and sampled.counts is not None else None
     buf = io.StringIO()
@@ -248,7 +250,6 @@ def histogram_csv(
         c = int(counts[l]) if counts is not None else 0
         if p <= 1e-15 and c == 0:
             continue
-        report = analyze_measurement(instance, l)
         writer.writerow(
             [
                 l,
@@ -256,7 +257,7 @@ def histogram_csv(
                 repr(l / M),
                 repr(p),
                 c,
-                1 if report.factors else 0,
+                int(instance.factor_mask[l]),
             ]
         )
     return buf.getvalue()

@@ -129,6 +129,18 @@ def test_synth_truncated_single_level(tmp_path, capsys):
     assert data["version"] == "truncated"
 
 
+@pytest.mark.parametrize("trnc_lv", ["-1", "6"])
+def test_synth_bad_level_creates_no_directory(tmp_path, capsys, trnc_lv):
+    out_dir = tmp_path / "circuits"
+    code, _, err = run_cli(
+        capsys, "synth", "--N", "21", "--a", "2", "--powers", "1",
+        "--trnc-lv", trnc_lv, "--out", str(out_dir),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and f"trnc_lv={trnc_lv}" in err
+    assert not out_dir.exists()
+
+
 def test_run_command_stdout(capsys):
     code, out, _ = run_cli(capsys, "run", "--N", "21", "--a", "2", "--m", "5")
     assert code == 0
@@ -249,6 +261,18 @@ def test_study_rejects_nonpositive_num_it(tmp_path, capsys, num_it):
     )
     assert code == 2
     assert err.startswith("error: ") and "num_it" in err
+    assert not out_file.exists()
+
+
+def test_study_rejects_out_of_range_level(tmp_path, capsys):
+    out_file = tmp_path / "study.csv"
+    code, _, err = run_cli(
+        capsys,
+        "study", "--N", "21", "--a", "2", "--m", "5", "--trnc", "0:6",
+        "--num-it", "2", "--seed", "1", "--out", str(out_file),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "trnc_lv=6" in err
     assert not out_file.exists()
 
 

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import truncshor.experiments
 from truncshor import (
     FactoringInstance,
     PhaseDistribution,
     build_orbit,
     derive_seed,
     exact_distribution,
+    histogram_csv,
     peak_presence,
     resolution_study,
     study_csv,
@@ -49,6 +51,18 @@ def test_tries_until_factor_caps(instances, circuit_sets):
     assert outcome.tries == 25
     assert outcome.capped
     assert outcome.factors is None
+
+
+def test_mismatched_distribution_width_is_rejected(instances, circuit_sets):
+    # l = 5 of 2^4 yields no factors; read as l = 5 of 2^5 it would give (7, 3)
+    inst = instances[21]
+    p = np.zeros(16)
+    p[5] = 1.0
+    dist = PhaseDistribution(m=4, probabilities=p, provenance="exact")
+    with pytest.raises(ValueError, match="m=4"):
+        tries_until_factor(inst, circuit_sets[21], seed=0, dist=dist)
+    with pytest.raises(ValueError, match="m=4"):
+        histogram_csv(inst, dist)
 
 
 def test_tries_until_factor_untruncated(instances, circuit_sets):
@@ -144,3 +158,11 @@ def test_resolution_study_synthesizes_once_per_residue(synth_calls):
     )
     assert len(cells) == 6
     assert synth_calls == [(1, 0), (2, 0), (4, 0)]
+
+
+def test_resolution_study_checks_levels_before_any_cell(monkeypatch):
+    calls = []
+    monkeypatch.setattr(truncshor.experiments, "exact_distribution", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="trnc_lv=6"):
+        resolution_study(FactoringInstance(N=21, a=2, m=5), [5], [0, 6], num_it=1, base_seed=0)
+    assert calls == []

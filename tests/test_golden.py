@@ -1,7 +1,7 @@
 """Byte contracts pinned as SHA-256 digests of the outputs of the unchanged code.
 
 Circuit JSON is the serialized form the ``synth`` command writes; the study
-CSV/JSON pair is what ``study`` writes. Any change to synthesis, truncation,
+CSV/JSON pair is what ``study`` writes; the histogram CSV is what ``run`` writes. Any change to synthesis, truncation,
 sampling or the row schema shows up here as a digest mismatch.
 """
 
@@ -11,7 +11,11 @@ import pytest
 
 from truncshor import (
     FactoringInstance,
+    build_orbit,
+    exact_distribution,
+    histogram_csv,
     resolution_study,
+    sample,
     study_csv,
     study_json,
     synth_all_powers,
@@ -51,6 +55,9 @@ SWEEP_21_DIGESTS = (
     "bb4c4fe105bb152bbc99842adaa658513cdfc948bb1722eb064ec09b58b075f2",
 )
 
+# histogram_csv for N=143, a=5, m=12, trnc_lv=10 with 4096 shots at seed 1905.
+HISTOGRAM_143_DIGEST = "5637929643b9214fff2bd368e28473de268986dc8c8e637bd0aa9594cf171973"
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -76,3 +83,10 @@ def test_truncation_sweep_bytes():
         FactoringInstance(N=21, a=2, m=5), range(6), num_it=20, base_seed=1905
     )
     assert (sha256(study_csv(results)), sha256(study_json(results))) == SWEEP_21_DIGESTS
+
+
+def test_histogram_csv_bytes():
+    inst = FactoringInstance(N=143, a=5, m=12)
+    dist = exact_distribution(inst, synth_all_powers(build_orbit(inst), 12, 10))
+    text = histogram_csv(inst, dist, sample(dist, 4096, 1905))
+    assert sha256(text) == HISTOGRAM_143_DIGEST

@@ -20,6 +20,7 @@ from truncshor import (
 )
 from truncshor.shor import nearest_phase_bin
 
+from conftest import CASES
 from reference_data import ORBITS
 
 
@@ -268,6 +269,31 @@ def test_analyze_measurement_recovers_period(orbits):
             assert report.factors is not None
             f1, f2 = report.factors
             assert f1 * f2 == N
+
+
+# The studied instances, then unlucky bases (odd r: N=21, a=4; a**(r/2) = -1:
+# N=15, a=14 and the prime power N=25, a=2) and one wide register.
+MASK_CASES = [(N, a, m) for N, (a, m) in CASES.items()] + [
+    (21, 4, 11),
+    (15, 14, 9),
+    (25, 2, 11),
+    (143, 5, 13),
+]
+
+
+@pytest.mark.parametrize("N, a, m", MASK_CASES)
+def test_factor_mask_matches_analysis(N, a, m):
+    inst = FactoringInstance(N=N, a=a, m=m)
+    expected = [analyze_measurement(inst, l).factors is not None for l in range(inst.M)]
+    assert inst.factor_mask.tolist() == expected
+
+
+def test_factor_mask_is_cached_and_read_only():
+    inst = FactoringInstance(N=21, a=2, m=5)
+    assert inst.factor_mask is inst.factor_mask
+    assert inst.factor_mask.nonzero()[0].tolist() == [5, 27]
+    with pytest.raises(ValueError):
+        inst.factor_mask[0] = True
 
 
 def test_report_json_round_trip():
