@@ -13,6 +13,7 @@ from .circuit import (
     Gate,
     LeveledCircuit,
     PermutationTable,
+    apply_gates,
     apply_to_basis,
     apply_to_basis_array,
     apply_to_statevector,
@@ -73,7 +74,6 @@ from .shor import (
 )
 from .synth import (
     ProtectedCollisionError,
-    SynthesisState,
     minimize_controls,
     synth_all_powers,
     synth_level,

@@ -5,6 +5,9 @@ multi-controlled-NOT gates. Controls carry polarity: a negated control
 fires on 0 instead of 1 and stands for the usual X-conjugation, which
 ``lower_negative_controls`` expands when a polarity-free circuit is needed.
 
+``Gate.apply`` is the reference semantics; ``apply_gates`` evaluates the same
+patterns as (care, fire) bit masks over arrays, for the table and synthesis.
+
 Bit convention: qubit k is bit k of the basis integer, so qubit 0 is the
 least significant bit (the OpenQASM/Qiskit ordering). That convention is
 used everywhere, including serialization.
@@ -59,6 +62,13 @@ class Gate:
     def apply(self, w: int) -> int:
         return w ^ (1 << self.target) if self.fires(w) else w
 
+    @property
+    def pattern(self) -> tuple[int, int]:
+        """(care, fire) bit masks: the gate fires on w iff ``((w ^ fire) & care) == 0``."""
+        care = sum(1 << c.qubit for c in self.controls)
+        fire = sum(1 << c.qubit for c in self.controls if not c.negated)
+        return care, fire
+
 
 @dataclass(frozen=True)
 class LeveledCircuit:
@@ -105,11 +115,7 @@ class LeveledCircuit:
     @cached_property
     def table(self) -> np.ndarray:
         """Compiled form, built on first use: ``table[w]`` is the image of basis state w."""
-        out = np.arange(1 << self.n_qubits, dtype=np.int64)
-        for gate in self.gates():
-            care = sum(1 << c.qubit for c in gate.controls)
-            fire = sum(1 << c.qubit for c in gate.controls if not c.negated)
-            out[((out ^ fire) & care) == 0] ^= 1 << gate.target
+        out = apply_gates(self.gates(), np.arange(1 << self.n_qubits, dtype=np.int64))
         out.flags.writeable = False
         return out
 
@@ -123,6 +129,14 @@ class PermutationTable:
 
     def to_json_dict(self) -> dict:
         return {"domain": list(self.domain), "image": list(self.image)}
+
+
+def apply_gates(gates: Iterable[Gate], values: np.ndarray) -> np.ndarray:
+    """Apply the gates in order to every basis state of an int64 array, in place; returns it."""
+    for gate in gates:
+        care, fire = gate.pattern
+        values[((values ^ fire) & care) == 0] ^= 1 << gate.target
+    return values
 
 
 def apply_to_basis(circuit: LeveledCircuit, w: int) -> int:

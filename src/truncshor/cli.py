@@ -25,7 +25,7 @@ from . import qasm
 from .experiments import resolution_study, study_csv, study_json, tries_until_factor
 from .modmath import FactoringInstance, NotCoprimeError, build_orbit
 from .shor import exact_distribution, histogram_csv, sample
-from .synth import synth_all_powers, synth_powers
+from .synth import ProtectedCollisionError, synth_all_powers, synth_powers
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -306,7 +306,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ProtectedCollisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

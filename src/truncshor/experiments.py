@@ -205,7 +205,7 @@ _STUDY_COLUMNS = ("N", "a", "r", "n", "m", "trnc_lv", "num_it", "mean_tries", "c
 def _study_row(res: TriesResult) -> dict:
     inst = res.instance
     values = (
-        inst.N, inst.a, build_orbit(inst).r, inst.n, inst.m,
+        inst.N, inst.a, inst.r, inst.n, inst.m,
         res.trnc_lv, res.num_it, res.mean, res.capped_fraction,
     )
     return dict(zip(_STUDY_COLUMNS, values))

@@ -82,13 +82,18 @@ class FactoringInstance:
         return 1 << self.m
 
     @cached_property
+    def r(self) -> int:
+        """Period of a modulo N, found on first use by iterating the orbit."""
+        return build_orbit(self).r
+
+    @cached_property
     def factor_mask(self) -> np.ndarray:
         """Built on first use: ``factor_mask[l]`` says whether analyzing outcome l yields factors.
 
         A convergent denominator q splits N iff the period r is even, a**(r/2) != -1
         mod N and q is an odd multiple of r, so one vectorized Euclid pass decides every l.
         """
-        r = build_orbit(self).r
+        r = self.r
         mask = np.zeros(self.M, dtype=bool)
         if r % 2 == 0 and mod_pow(self.a, r // 2, self.N) != self.N - 1:
             l = np.arange(1, self.M)  # l = 0 has the single denominator 1

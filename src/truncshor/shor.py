@@ -28,7 +28,6 @@ from .circuit import (
     LeveledCircuit,
     VERSION_PER_POWER,
     apply_to_basis,
-    apply_to_basis_array,
     apply_to_statevector,
 )
 from .modmath import FactoringInstance, Orbit
@@ -92,30 +91,31 @@ def control_image(circuits: Sequence[LeveledCircuit], k: int) -> int:
 
 
 def work_images(circuits: Sequence[LeveledCircuit], M: int) -> np.ndarray:
-    """Vectorized control_image for every k in [0, M)."""
-    m = M.bit_length() - 1
-    ks = np.arange(M)
-    images = np.ones(M, dtype=np.int64)
-    for q in range(m):
-        fire = ((ks >> q) & 1) == 1
-        images[fire] = apply_to_basis_array(circuits[q], images[fire])
+    """Vectorized control_image for every k in [0, M), doubling: w(k + 2**q) = U**(2**q) w(k)."""
+    images = np.ones(1, dtype=np.int64)
+    for q in range(M.bit_length() - 1):
+        images = np.concatenate((images, circuits[q].table[images]))
     return images
 
 
 def exact_distribution(
     instance: FactoringInstance, circuits: Sequence[LeveledCircuit]
 ) -> PhaseDistribution:
-    """Exact control-register distribution via grouped DFT over work images."""
+    """Exact control-register distribution via grouped DFT over work images.
+
+    Indicator rows are transformed 8 at a time (O(M) memory); the row powers are
+    summed one row at a time in image order, which fixes the last bits of P(l).
+    """
     m, M = instance.m, instance.M
     if len(circuits) < m:
         raise ValueError(f"need circuits for powers 2^0 .. 2^{m - 1}, got {len(circuits)}")
-    images = work_images(circuits, M)
-    uniq, inverse = np.unique(images, return_inverse=True)
-    indicators = np.zeros((len(uniq), M))
-    indicators[inverse, np.arange(M)] = 1.0
-    spectra = np.fft.fft(indicators, axis=1)
-    probs = (np.abs(spectra) ** 2).sum(axis=0) / M**2
-    return PhaseDistribution(m=m, probabilities=probs, provenance="exact")
+    uniq, inverse = np.unique(work_images(circuits, M), return_inverse=True)
+    probs = np.zeros(M)
+    for start in range(0, len(uniq), 8):
+        rows = np.arange(start, min(start + 8, len(uniq)))
+        for power in np.abs(np.fft.fft(inverse == rows[:, None], axis=1)) ** 2:
+            probs += power
+    return PhaseDistribution(m=m, probabilities=probs / M**2, provenance="exact")
 
 
 def analytic_amplitude(s: int, r: int, l: int, M: int) -> complex:
@@ -236,8 +236,9 @@ def histogram_csv(
     Columns: ell, phase_binary, phase_decimal, probability, counts,
     produces_factors (``instance.factor_mask``).
     """
-    if dist.m != instance.m:
-        raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
+    for d in (dist, sampled):
+        if d is not None and d.m != instance.m:
+            raise ValueError(f"distribution over m={d.m} bits, instance has m={instance.m}")
     M = instance.M
     counts = sampled.counts if sampled is not None and sampled.counts is not None else None
     buf = io.StringIO()

@@ -21,20 +21,23 @@ Truncation then simply empties the last ``trnc_lv`` levels.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import replace
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .circuit import (
     Control,
     Gate,
     LeveledCircuit,
     VERSION_TRUNCATED,
+    apply_gates,
 )
 from .modmath import CycleDecomposition, Orbit, cycle_decomposition
 
 
 class ProtectedCollisionError(RuntimeError):
-    """No bit-flip path exists around the protected set (internal bug signal)."""
+    """No bit-flip path around the protected set; valid input can reach it (N=19, a=2, p=1)."""
 
 
 def minimize_controls(
@@ -51,21 +54,14 @@ def minimize_controls(
     forbidden. Deterministic; with nothing to distinguish, the result is
     the empty control set.
     """
-    forbidden = tuple(forbidden)
-    controls = {
-        q: Control(qubit=q, negated=(fire_value >> q) & 1 == 0)
-        for q in range(n_qubits)
-        if q != target
-    }
-
-    def matches(cs: dict[int, Control], v: int) -> bool:
-        return all(((v >> c.qubit) & 1 == 0) == c.negated for c in cs.values())
-
-    for q in sorted(controls, reverse=True):
-        dropped = controls.pop(q)
-        if any(matches(controls, v) for v in forbidden):
-            controls[q] = dropped
-    return tuple(sorted(controls.values()))
+    # a (care, fire_value) pattern matches v iff v ^ fire_value has no care bit set
+    differs = np.fromiter(forbidden, dtype=np.int64) ^ fire_value
+    care = ((1 << n_qubits) - 1) & ~(1 << target)
+    for bit in (1 << q for q in reversed(range(n_qubits)) if q != target):
+        if not ((differs & (care ^ bit)) == 0).any():
+            care ^= bit
+    return tuple(Control(qubit=q, negated=not (fire_value >> q) & 1)
+                 for q in range(n_qubits) if (care >> q) & 1)
 
 
 def _flip_path(current: int, target: int, blocked: frozenset[int], n_qubits: int) -> list[int]:
@@ -129,26 +125,6 @@ def synth_level(
     return gates
 
 
-@dataclass
-class SynthesisState:
-    """Mutable tracker threaded through one operator synthesis.
-
-    ``trajectories`` maps each orbit state (a circuit input) to its current
-    intermediate value at the frontier; ``protected`` holds the sealed
-    outputs every later gate must leave fixed.
-    """
-
-    trajectories: dict[int, int]
-    protected: set[int] = field(default_factory=set)
-
-    def advance(self, gates: Sequence[Gate]) -> None:
-        for state in self.trajectories:
-            w = self.trajectories[state]
-            for gate in gates:
-                w = gate.apply(w)
-            self.trajectories[state] = w
-
-
 def transition_order(decomp: CycleDecomposition) -> list[tuple[int, int]]:
     """Level assignment: cycles concatenated in head order, one transition each."""
     out: list[tuple[int, int]] = []
@@ -178,16 +154,16 @@ def synth_me_operator(orbit: Orbit, p: int, trnc_lv: int = 0) -> LeveledCircuit:
     """Synthesize U**p on the orbit, then empty the last trnc_lv levels."""
     n = orbit.instance.n
     decomp = cycle_decomposition(orbit, p)
-    state = SynthesisState(trajectories={s: s for s in orbit.states})
+    position = {s: i for i, s in enumerate(orbit.states)}
+    frontier = np.array(orbit.states, dtype=np.int64)  # trajectories of the orbit states
+    protected: set[int] = set()
     levels: list[tuple[Gate, ...]] = []
     for src, tgt in transition_order(decomp):
-        cur = state.trajectories[src]
-        gates = synth_level(
-            cur, tgt, state.protected, n, avoid=state.trajectories.values()
-        )
+        cur = int(frontier[position[src]])
+        gates = synth_level(cur, tgt, protected, n, avoid=frontier.tolist())
         levels.append(tuple(gates))
-        state.advance(gates)
-        state.protected.add(tgt)
+        apply_gates(gates, frontier)
+        protected.add(tgt)
     full = LeveledCircuit(n_qubits=n, power=p, levels=tuple(levels))
     return truncate(full, trnc_lv)
 

@@ -9,6 +9,7 @@ from truncshor import (
     DimensionMismatchError,
     Gate,
     LeveledCircuit,
+    apply_gates,
     apply_to_basis,
     apply_to_basis_array,
     apply_to_statevector,
@@ -132,6 +133,27 @@ def test_apply_to_basis_array_matches_scalar():
         values = np.arange(1 << n)
         vec = apply_to_basis_array(c, values)
         assert [apply_to_basis(c, int(w)) for w in values] == list(vec)
+
+
+def test_gate_pattern_masks():
+    gate = Gate(target=0, controls=(Control(1), Control(3, negated=True), Control(4)))
+    assert gate.pattern == (0b11010, 0b10010)
+    assert Gate(target=2).pattern == (0, 0)
+
+
+def test_apply_gates_matches_gate_apply_in_place():
+    rng = random.Random(17)
+    for _ in range(20):
+        n = rng.randrange(2, 8)
+        gates = list(random_circuit(rng, n).gates())
+        values = np.array([rng.randrange(1 << n) for _ in range(40)], dtype=np.int64)
+        expected = []
+        for w in values.tolist():
+            for gate in gates:
+                w = gate.apply(w)
+            expected.append(w)
+        assert apply_gates(gates, values) is values
+        assert values.tolist() == expected
 
 
 def test_apply_to_basis_array_rejects_out_of_range(circuit_sets):

@@ -141,6 +141,21 @@ def test_synth_bad_level_creates_no_directory(tmp_path, capsys, trnc_lv):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--N", "19", "--a", "2", "--powers", "1"],
+    ["factor", "--N", "25", "--a", "2", "--m", "5", "--seed", "1"],
+])
+def test_synthesis_collision_is_validation_error(tmp_path, capsys, argv):
+    # no bit-flip path around the sealed outputs: N=19 at p=1, N=25 at p=4
+    out_dir = tmp_path / "circuits"
+    extra = ["--out", str(out_dir)] if argv[0] == "synth" else []
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 2
+    assert err.startswith("error: no path") and "Traceback" not in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_run_command_stdout(capsys):
     code, out, _ = run_cli(capsys, "run", "--N", "21", "--a", "2", "--m", "5")
     assert code == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import truncshor.experiments
+import truncshor.modmath
 from truncshor import (
     FactoringInstance,
     PhaseDistribution,
@@ -166,3 +167,21 @@ def test_resolution_study_checks_levels_before_any_cell(monkeypatch):
     with pytest.raises(ValueError, match="trnc_lv=6"):
         resolution_study(FactoringInstance(N=21, a=2, m=5), [5], [0, 6], num_it=1, base_seed=0)
     assert calls == []
+
+
+def test_study_rows_compute_period_once_per_instance(monkeypatch):
+    m_values = [4, 5]
+    cells = resolution_study(FactoringInstance(N=21, a=2, m=5), m_values, range(4), 3, 7)
+    results = [cell.result for cell in cells.values()]
+    calls = []
+    original = truncshor.modmath.build_orbit
+
+    def counting(instance):
+        calls.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(truncshor.modmath, "build_orbit", counting)
+    monkeypatch.setattr(truncshor.experiments, "build_orbit", counting)
+    study_csv(results)
+    study_json(results)
+    assert len(calls) <= len(m_values)

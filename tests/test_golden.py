@@ -1,8 +1,10 @@
 """Byte contracts pinned as SHA-256 digests of the outputs of the unchanged code.
 
-Circuit JSON is the serialized form the ``synth`` command writes; the study
-CSV/JSON pair is what ``study`` writes; the histogram CSV is what ``run`` writes. Any change to synthesis, truncation,
-sampling or the row schema shows up here as a digest mismatch.
+Circuit JSON and QASM are the serialized forms the ``synth`` command writes;
+the study CSV/JSON pair is what ``study`` writes; the histogram CSV is what
+``run`` writes. Any change to synthesis, truncation, sampling or the row
+schema shows up here as a digest mismatch. The n = 10-12 moduli (N = 1001,
+N = 4087) reach control patterns the five small moduli do not.
 """
 
 import hashlib
@@ -19,7 +21,9 @@ from truncshor import (
     study_csv,
     study_json,
     synth_all_powers,
+    synth_powers,
     to_json,
+    to_qasm3,
     truncation_sweep,
 )
 
@@ -45,6 +49,16 @@ CIRCUIT_DIGESTS = {
     (247, 35): "2e558b6d84f805c32fce7e1781bc93f1163930f48602a3b678bcf4570aca1c4a",
 }
 
+# sha256 of to_json(c, indent=2) for N=4087, a=3 (n=12, r=110), keyed by power.
+CIRCUIT_4087_DIGESTS = {
+    1: "a57f6747ac66fe84af7a242c6051eeca288cbe039a602254bcbf381e0238125f",
+    64: "7ef98ce097f2cdeea008db0ee9f498c32a1983c3cac869ff0fdd73586e56b0b6",
+    2048: "2295d3e2de96704406bc0b180162377d66dbfd3b405039f6bf1254e60b4aea36",
+}
+
+# sha256 of the concatenated to_qasm3 text for N=1001, a=2 (n=10, r=60), p = 2^0 .. 2^11.
+QASM_1001_DIGEST = "182164c5c1b760804aad069ae6c801d3d6b815d21c20786616b7c82e16ec9853"
+
 # (csv, json) digests of the study outputs.
 STUDY_143_DIGESTS = (
     "486925707e31ecb7758811907feddecde1292d3349fadea71996f0b6cc585613",
@@ -68,6 +82,18 @@ def test_circuit_json_bytes(orbits, N, t):
     circuits = synth_all_powers(orbits[N], CASES[N][1], t)
     text = "\n".join(to_json(c, indent=2) for c in circuits)
     assert sha256(text) == CIRCUIT_DIGESTS[(N, t)]
+
+
+@pytest.mark.parametrize("p", sorted(CIRCUIT_4087_DIGESTS))
+def test_circuit_json_bytes_n12(p):
+    (circuit,) = synth_powers(build_orbit(FactoringInstance(N=4087, a=3, m=1)), [p])
+    assert sha256(to_json(circuit, indent=2)) == CIRCUIT_4087_DIGESTS[p]
+
+
+def test_qasm_bytes_n10():
+    orbit = build_orbit(FactoringInstance(N=1001, a=2, m=1))
+    circuits = synth_powers(orbit, [1 << q for q in range(12)])
+    assert sha256("".join(to_qasm3(c) for c in circuits)) == QASM_1001_DIGEST
 
 
 def test_resolution_study_bytes():

@@ -10,7 +10,9 @@ from truncshor import (
     LeveledCircuit,
     TooLargeError,
     analytic_amplitude,
+    apply_to_basis_array,
     apply_to_statevector,
+    build_orbit,
     control_image,
     eigenstate_vector,
     exact_distribution,
@@ -18,6 +20,7 @@ from truncshor import (
     nearest_phase_bin,
     run_shor_dense,
     sample,
+    synth_all_powers,
     work_images,
 )
 
@@ -88,6 +91,31 @@ def test_exact_distribution_identity_case():
     dist = exact_distribution(inst, [identity])
     assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-12)
     assert dist.probabilities[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def dense_indicator_distribution(circuits, m):
+    """Oracle: the full U x M indicator matrix of the work images, one FFT, rows summed."""
+    M = 1 << m
+    ks = np.arange(M)
+    images = np.ones(M, dtype=np.int64)
+    for q in range(m):
+        fire = ((ks >> q) & 1) == 1
+        images[fire] = apply_to_basis_array(circuits[q], images[fire])
+    uniq, inverse = np.unique(images, return_inverse=True)
+    indicators = np.zeros((len(uniq), M))
+    indicators[inverse, np.arange(M)] = 1.0
+    spectra = np.fft.fft(indicators, axis=1)
+    return (np.abs(spectra) ** 2).sum(axis=0) / M**2
+
+
+@pytest.mark.parametrize("N, a, m, trnc_lv", [
+    (21, 2, 5, 0), (21, 2, 5, 3), (143, 5, 12, 0), (143, 5, 12, 10), (247, 2, 13, 18),
+])
+def test_exact_distribution_matches_dense_indicators_bitwise(N, a, m, trnc_lv):
+    inst = FactoringInstance(N=N, a=a, m=m)
+    circuits = synth_all_powers(build_orbit(inst), m, trnc_lv)
+    expected = dense_indicator_distribution(circuits, m)
+    assert np.array_equal(exact_distribution(inst, circuits).probabilities, expected)
 
 
 def test_analytic_amplitude_examples():
@@ -230,3 +258,14 @@ def test_histogram_csv(instances, circuit_sets):
     assert sorted(producers) == [5, 27]
     # counts column carries the sampled counts
     assert int(rows[5][4]) == int(sampled.counts[5])
+
+
+@pytest.mark.parametrize("sample_m", [4, 6])
+def test_histogram_csv_rejects_sample_of_other_width(instances, circuit_sets, sample_m):
+    inst = instances[21]
+    dist = exact_distribution(inst, circuit_sets[21])
+    other_inst = FactoringInstance(N=21, a=2, m=sample_m)
+    other_circuits = synth_all_powers(build_orbit(other_inst), sample_m)
+    other = sample(exact_distribution(other_inst, other_circuits), 100, seed=1)
+    with pytest.raises(ValueError, match=f"m={sample_m}"):
+        histogram_csv(inst, dist, other)

@@ -50,6 +50,33 @@ def test_minimize_controls_never_matches_forbidden():
         assert not any(probe.fires(v) for v in forbidden)
 
 
+def greedy_controls_oracle(fire_value, forbidden, n_qubits, target):
+    """The greedy search over Control objects, one scalar pattern test per value."""
+    controls = {
+        q: Control(qubit=q, negated=(fire_value >> q) & 1 == 0)
+        for q in range(n_qubits)
+        if q != target
+    }
+    for q in sorted(controls, reverse=True):
+        dropped = controls.pop(q)
+        probe = Gate(target=target, controls=tuple(controls.values()))
+        if any(probe.fires(v) for v in forbidden):
+            controls[q] = dropped
+    return tuple(sorted(controls.values()))
+
+
+def test_minimize_controls_matches_greedy_oracle():
+    rng = random.Random(11)
+    for _ in range(500):
+        n = rng.randrange(2, 9)
+        fire = rng.randrange(1 << n)
+        target = rng.randrange(n)
+        forbidden = {rng.randrange(1 << n) for _ in range(rng.randrange(0, 12))}
+        assert minimize_controls(fire, forbidden, n, target) == greedy_controls_oracle(
+            fire, forbidden, n, target
+        )
+
+
 def test_synth_level_examples():
     gates = synth_level(1, 11, {2, 4, 8, 16}, 5)
     assert gates == [
