@@ -1,9 +1,10 @@
 """Truncation sweeps and tries-until-factor ensembles.
 
-A "try" is one sampled measurement of the control register followed by the
-full continued-fractions analysis; barren draws (l = 0 and friends) count
-as failed tries. All randomness flows from explicit seeds through a fixed
-avalanche mixer, so every result is reproducible bit for bit.
+A "try" is one sampled measurement l of the control register; it succeeds
+when continued fractions on l yield factors (``instance.factor_mask[l]``),
+and barren draws (l = 0 and friends) count as failed tries. All randomness
+flows from explicit seeds through a fixed avalanche mixer, so every result
+is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .circuit import LeveledCircuit
-from .modmath import FactoringInstance, Orbit, analyze_measurement, build_orbit
+from .modmath import FactoringInstance, Orbit, build_orbit, extract_factors
 from .shor import EigenphaseSet, PhaseDistribution, exact_distribution, nearest_phase_bin
 from .synth import synth_all_powers, truncate
 
@@ -66,9 +67,10 @@ def tries_until_factor(
     """Draw measurements until one yields factors; report the 1-based count.
 
     Draws come from the exact distribution of the given circuits (pass
-    ``dist`` to reuse a precomputed one; they are drawn in a single batched
-    call, which fixes the stream for a given seed). Returns max_tries with
-    capped=True when no draw succeeds.
+    ``dist`` to reuse a precomputed one), all at once from ``dist.cdf``.
+    Every winning l splits N as gcd(a**(r/2) -+ 1, N), since ``factor_mask``
+    accepts only odd multiples of r. Returns max_tries with capped=True
+    when no draw succeeds.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
@@ -76,14 +78,14 @@ def tries_until_factor(
         dist = exact_distribution(instance, circuits)
     if dist.m != instance.m:
         raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(dist.M, size=max_tries, p=dist.probabilities / dist.probabilities.sum())
+    draws = dist.cdf.searchsorted(np.random.default_rng(seed).random(max_tries), side="right")
     hits = instance.factor_mask[draws]
     if not hits.any():
         return TryOutcome(tries=max_tries, capped=True)
     i = int(hits.argmax())
-    report = analyze_measurement(instance, int(draws[i]))
-    return TryOutcome(tries=i + 1, capped=False, l=report.l_measured, factors=report.factors)
+    return TryOutcome(
+        tries=i + 1, capped=False, l=int(draws[i]), factors=extract_factors(instance, instance.r)
+    )
 
 
 @dataclass(frozen=True)
@@ -161,6 +163,7 @@ def resolution_study(
 
     The powers are synthesized once, at the largest m: the circuit for
     2**q does not depend on m, and truncation only empties trailing levels.
+    Each distinct circuit is truncated once per level.
     Iteration i at level t uses seed derive_seed(base_seed, t, i).
     """
     if num_it < 1:
@@ -169,7 +172,11 @@ def resolution_study(
     trnc_levels = list(trnc_range)
     orbit = build_orbit(instance)
     full = synth_all_powers(orbit, max(m_values, default=0))
-    truncated = {t: [truncate(c, t) for c in full] for t in trnc_levels}
+    distinct = {id(c): c for c in full}
+    truncated = {}
+    for t in trnc_levels:
+        level = {key: truncate(c, t) for key, c in distinct.items()}
+        truncated[t] = [level[id(c)] for c in full]
     out: dict[tuple[int, int], ResolutionCell] = {}
     for m in m_values:
         inst_m = replace(instance, m=m)

@@ -17,6 +17,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -56,20 +57,34 @@ class EigenphaseSet:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseDistribution:
-    """Probabilities over the M control outcomes, exact or sampled."""
+    """Probabilities over the M control outcomes, exact or sampled; checked once, when made."""
 
     m: int
     probabilities: np.ndarray
     provenance: str  # "exact" | "sampled"
-    shots: Optional[int] = None
-    seed: Optional[int] = None
     counts: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        p = self.probabilities
+        if np.shape(p) != (self.M,):
+            raise ValueError(f"probabilities of shape {np.shape(p)}, need ({self.M},) for m={self.m}")
+        if not (np.isfinite(p).all() and (p >= 0).all() and p.sum() > 0):
+            raise ValueError("probabilities must be finite, non-negative and not all zero")
 
     @property
     def M(self) -> int:
         return 1 << self.m
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Built on first use, read-only: ``cdf.searchsorted(rng.random(k), side="right")``
+        draws what ``rng.choice(M, size=k, p=probabilities / probabilities.sum())`` would."""
+        cdf = (self.probabilities / self.probabilities.sum()).cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
 
 
 def control_image(circuits: Sequence[LeveledCircuit], k: int) -> int:
@@ -156,16 +171,11 @@ def sample(dist: PhaseDistribution, shots: int, seed: int) -> PhaseDistribution:
         raise ValueError("can only sample from an exact distribution")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(seed)
-    p = np.clip(dist.probabilities, 0.0, None)
-    counts = rng.multinomial(shots, p / p.sum())
+    counts = np.random.default_rng(seed).multinomial(
+        shots, dist.probabilities / dist.probabilities.sum()
+    )
     return PhaseDistribution(
-        m=dist.m,
-        probabilities=counts / shots,
-        provenance="sampled",
-        shots=shots,
-        seed=seed,
-        counts=counts,
+        m=dist.m, probabilities=counts / shots, provenance="sampled", counts=counts
     )
 
 

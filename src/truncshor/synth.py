@@ -67,11 +67,16 @@ def minimize_controls(
 def _flip_path(current: int, target: int, blocked: frozenset[int], n_qubits: int) -> list[int]:
     """Shortest single-bit-flip path from current to target avoiding blocked values.
 
-    BFS with neighbors expanded in ascending bit order, so an unobstructed
-    path flips the differing bits in ascending index order.
+    BFS with neighbors expanded in ascending bit order returns the
+    lexicographically least shortest path, so when the path that flips the
+    differing bits in ascending index order is unobstructed, it is the answer.
     """
-    if current == target:
-        return [current]
+    path = [current]
+    for b in range(n_qubits):
+        if (current ^ target) >> b & 1:
+            path.append(path[-1] ^ (1 << b))
+    if blocked.isdisjoint(path[1:]):
+        return path
     prev: dict[int, int] = {current: -1}
     queue: deque[int] = deque([current])
     while queue:

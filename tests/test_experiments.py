@@ -1,10 +1,12 @@
 import csv
 import io
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import truncshor
 import truncshor.experiments
 import truncshor.modmath
 from truncshor import (
@@ -18,9 +20,14 @@ from truncshor import (
     resolution_study,
     study_csv,
     study_json,
+    analyze_measurement,
+    extract_factors,
+    synth_all_powers,
     tries_until_factor,
     truncation_sweep,
 )
+
+from conftest import CASES
 
 
 def test_derive_seed_deterministic_and_spread():
@@ -185,3 +192,54 @@ def test_study_rows_compute_period_once_per_instance(monkeypatch):
     study_csv(results)
     study_json(results)
     assert len(calls) <= len(m_values)
+
+
+@pytest.mark.parametrize("N", sorted(CASES))
+def test_every_winning_outcome_gives_the_instance_factor_pair(instances, N):
+    inst = instances[N]
+    pair = extract_factors(inst, inst.r)
+    winners = np.flatnonzero(inst.factor_mask)
+    assert winners.size
+    for l in winners:
+        assert analyze_measurement(inst, int(l)).factors == pair
+
+
+def test_tries_until_factor_builds_no_report_and_calls_no_choice(monkeypatch, instances, circuit_sets):
+    class NoChoice(np.random.Generator):
+        def choice(self, *args, **kwargs):
+            raise AssertionError("Generator.choice called")
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("analyze_measurement called")
+
+    for module in (truncshor, truncshor.modmath, truncshor.experiments):
+        monkeypatch.setattr(module, "analyze_measurement", no_report, raising=False)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoChoice(np.random.PCG64(seed)))
+    inst = instances[143]
+    outcome = tries_until_factor(inst, synth_all_powers(build_orbit(inst), inst.m, 11), seed=9)
+    assert not outcome.capped
+    assert outcome.factors == (11, 13)
+    assert inst.factor_mask[outcome.l]
+
+
+def test_resolution_study_truncates_each_distinct_circuit_once(monkeypatch):
+    # N=143, a=5 has r = 20: of the powers 2^0 .. 2^9 only 6 residues mod 20 are distinct
+    seen = []
+    original = truncshor.experiments.exact_distribution
+
+    def recording(instance, circuits):
+        seen.append(circuits)
+        return original(instance, circuits)
+
+    monkeypatch.setattr(truncshor.experiments, "exact_distribution", recording)
+    resolution_study(FactoringInstance(N=143, a=5, m=10), [8, 10], [0, 11, 19], 1, 3)
+    assert len(seen) == 6
+    for circuits in seen:
+        residues = [(1 << q) % 20 for q in range(len(circuits))]
+        for i, j in itertools.combinations(range(len(circuits)), 2):
+            assert (circuits[i] is circuits[j]) == (residues[i] == residues[j])
+    by_level = {}
+    for circuits in seen:
+        by_level.setdefault(circuits[0].trnc_lv, []).append(circuits)
+    for narrow, wide in by_level.values():
+        assert all(a is b for a, b in zip(narrow, wide))

@@ -2,12 +2,15 @@
 
 Circuit JSON and QASM are the serialized forms the ``synth`` command writes;
 the study CSV/JSON pair is what ``study`` writes; the histogram CSV is what
-``run`` writes. Any change to synthesis, truncation, sampling or the row
+``run`` writes; the JSON lines of ``--quiet factor`` pin the tries stream
+(``tries`` and ``l_measured``) and the exit codes. Any change to synthesis, truncation, sampling or the row
 schema shows up here as a digest mismatch. The n = 10-12 moduli (N = 1001,
 N = 4087) reach control patterns the five small moduli do not.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -26,6 +29,7 @@ from truncshor import (
     to_qasm3,
     truncation_sweep,
 )
+from truncshor.cli import main
 
 from conftest import CASES
 
@@ -72,6 +76,19 @@ SWEEP_21_DIGESTS = (
 # histogram_csv for N=143, a=5, m=12, trnc_lv=10 with 4096 shots at seed 1905.
 HISTOGRAM_143_DIGEST = "5637929643b9214fff2bd368e28473de268986dc8c8e637bd0aa9594cf171973"
 
+# sha256 of "<exit code> <stdout>" of `--quiet factor <config> --seed s`, joined over
+# seeds 1..8 (1..2 for the m = 17 configuration). The max-tries configurations
+# mix exit 0 with capped runs that exit 3.
+FACTOR_DIGESTS = {
+    "--N 21 --a 2 --m 5": "b4c6a8b41bfd5adf40f75312565cdfec620f5aff372a3e2799cde80b8e90d204",
+    "--N 33 --a 7 --m 6 --trnc-lv 5": "9939796d80884153633c36e89a885f23081f6f23977b6a8123e72970e3249738",
+    "--N 35 --a 4 --m 6 --trnc-lv 3": "a8dd91b833dfeba25d172929257a32b4f102b44667641e5592e29418f8da998d",
+    "--N 143 --a 5 --m 10 --trnc-lv 11": "f60b6c27155e8ebd675c103078d3ddf53b7dd27c4329469940c35dba85f0c800",
+    "--N 143 --a 5 --m 8 --trnc-lv 17 --max-tries 40": "7ee07f261ce502821b1770a61a845cd43345b0deb23f31b5fd9240226b32242e",
+    "--N 247 --a 2 --m 10 --trnc-lv 30 --max-tries 60": "d65fe83b09e32183c161777ba9a201eae37765ae8127ba71730240983a7ec154",
+    "--N 247 --a 2 --m 17 --trnc-lv 20": "8ee956c19776dfedc25c76a75f89c7c935366f2fcf8b2afc37736945741c9049",
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -116,3 +133,14 @@ def test_histogram_csv_bytes():
     dist = exact_distribution(inst, synth_all_powers(build_orbit(inst), 12, 10))
     text = histogram_csv(inst, dist, sample(dist, 4096, 1905))
     assert sha256(text) == HISTOGRAM_143_DIGEST
+
+
+@pytest.mark.parametrize("config", sorted(FACTOR_DIGESTS))
+def test_factor_quiet_lines(config):
+    text = ""
+    for seed in range(1, 3 if "--m 17" in config else 9):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--quiet", "factor", *config.split(), "--seed", str(seed)])
+        text += f"{code} {out.getvalue()}"
+    assert sha256(text) == FACTOR_DIGESTS[config]

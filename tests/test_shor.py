@@ -8,6 +8,7 @@ from truncshor import (
     EigenphaseSet,
     FactoringInstance,
     LeveledCircuit,
+    PhaseDistribution,
     TooLargeError,
     analytic_amplitude,
     apply_to_basis_array,
@@ -21,6 +22,7 @@ from truncshor import (
     run_shor_dense,
     sample,
     synth_all_powers,
+    tries_until_factor,
     work_images,
 )
 
@@ -269,3 +271,58 @@ def test_histogram_csv_rejects_sample_of_other_width(instances, circuit_sets, sa
     other = sample(exact_distribution(other_inst, other_circuits), 100, seed=1)
     with pytest.raises(ValueError, match=f"m={sample_m}"):
         histogram_csv(inst, dist, other)
+
+
+def choice_draws(dist, k, seed):
+    """Test-side oracle: what Generator.choice draws from dist."""
+    p = dist.probabilities / dist.probabilities.sum()
+    return np.random.default_rng(seed).choice(dist.M, size=k, p=p)
+
+
+@pytest.mark.parametrize("N, trnc_lv", [(21, 0), (33, 5), (143, 0), (143, 11), (247, 30)])
+def test_cdf_draws_equal_choice_on_exact(instances, orbits, N, trnc_lv):
+    inst = instances[N]
+    dist = exact_distribution(inst, synth_all_powers(orbits[N], inst.m, trnc_lv))
+    for seed in range(60):
+        draws = dist.cdf.searchsorted(np.random.default_rng(seed).random(300), side="right")
+        assert np.array_equal(draws, choice_draws(dist, 300, seed))
+
+
+def test_cdf_draws_equal_choice_on_point_mass_and_uniform():
+    point = np.zeros(64)
+    point[37] = 2.5  # unnormalized on purpose
+    uniform = np.full(1024, 1.0 / 1024)
+    for m, p in ((6, point), (10, uniform), (3, np.full(8, 3.0))):
+        dist = PhaseDistribution(m=m, probabilities=p, provenance="exact")
+        for seed in range(200):
+            draws = dist.cdf.searchsorted(np.random.default_rng(seed).random(50), side="right")
+            assert np.array_equal(draws, choice_draws(dist, 50, seed))
+
+
+def test_cdf_is_built_once_and_read_only():
+    dist = PhaseDistribution(m=2, probabilities=np.array([1.0, 0.0, 3.0, 0.0]), provenance="exact")
+    assert dist.cdf is dist.cdf
+    assert list(dist.cdf) == [0.25, 0.25, 1.0, 1.0]
+    with pytest.raises(ValueError):
+        dist.cdf[0] = 0.5
+
+
+BAD_PROBABILITIES = {
+    "wrong length": np.full(16, 1 / 16),
+    "nan": np.array([0.5, np.nan] + [0.5 / 30] * 30),
+    "negative": np.array([0.75, -0.25] + [0.5 / 30] * 30),
+    "zero sum": np.zeros(32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PROBABILITIES))
+def test_phase_distribution_rejects_bad_probabilities(instances, circuit_sets, case):
+    def bad():
+        return PhaseDistribution(m=5, probabilities=BAD_PROBABILITIES[case], provenance="exact")
+
+    with pytest.raises(ValueError, match="probabilities"):
+        bad()
+    with pytest.raises(ValueError, match="probabilities"):
+        sample(bad(), 100, seed=1)
+    with pytest.raises(ValueError, match="probabilities"):
+        tries_until_factor(instances[21], circuit_sets[21], seed=1, dist=bad())

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -16,6 +17,8 @@ from truncshor import (
     synth_me_operator,
     transition_order,
 )
+
+from truncshor.synth import _flip_path
 
 from conftest import CASES
 
@@ -126,6 +129,47 @@ def test_protected_collision_when_no_path():
     # both 2-step routes from 0 to 3 pass through a protected value
     with pytest.raises(ProtectedCollisionError):
         synth_level(0, 3, {1, 2}, 2)
+
+
+def bfs_flip_path_oracle(current, target, blocked, n_qubits):
+    """The breadth-first search alone: neighbors in ascending bit order, None if no path."""
+    if current == target:
+        return [current]
+    prev = {current: -1}
+    queue = deque([current])
+    while queue:
+        u = queue.popleft()
+        for b in range(n_qubits):
+            v = u ^ (1 << b)
+            if v in prev or v in blocked:
+                continue
+            prev[v] = u
+            if v == target:
+                path = [v]
+                while path[-1] != current:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            queue.append(v)
+    return None
+
+
+def test_flip_path_matches_bfs_oracle():
+    rng = random.Random(5)
+    detours = collisions = 0
+    for _ in range(3000):
+        n = rng.randrange(1, 9)
+        current, target = rng.randrange(1 << n), rng.randrange(1 << n)
+        blocked = frozenset(rng.sample(range(1 << n), rng.randrange(0, (1 << n) // 2 + 1)))
+        expected = bfs_flip_path_oracle(current, target, blocked, n)
+        if expected is None:
+            collisions += 1
+            with pytest.raises(ProtectedCollisionError):
+                _flip_path(current, target, blocked, n)
+            continue
+        flips = [u ^ v for u, v in zip(expected, expected[1:])]
+        detours += flips != sorted(set(flips))  # not the direct, ascending-bit path
+        assert _flip_path(current, target, blocked, n) == expected
+    assert detours > 100 and collisions > 100
 
 
 @pytest.mark.parametrize("N", sorted(CASES))
