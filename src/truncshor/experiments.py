@@ -67,10 +67,13 @@ def tries_until_factor(
     """Draw measurements until one yields factors; report the 1-based count.
 
     Draws come from the exact distribution of the given circuits (pass
-    ``dist`` to reuse a precomputed one), all at once from ``dist.cdf``.
+    ``dist`` to reuse a precomputed one) via ``dist.cdf``, in chunks of 16, 32,
+    64, ... up to max_tries in all: the same stream as one call for all of
+    them, and fewer than 2 * tries + 16 values drawn.
     Every winning l splits N as gcd(a**(r/2) -+ 1, N), since ``factor_mask``
-    accepts only odd multiples of r. Returns max_tries with capped=True
-    when no draw succeeds.
+    accepts only odd multiples of r; when it accepts no outcome at all (odd r,
+    or a**(r/2) = -1 mod N) nothing is drawn. Returns max_tries with
+    capped=True when no draw succeeds.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
@@ -78,14 +81,25 @@ def tries_until_factor(
         dist = exact_distribution(instance, circuits)
     if dist.m != instance.m:
         raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
-    draws = dist.cdf.searchsorted(np.random.default_rng(seed).random(max_tries), side="right")
-    hits = instance.factor_mask[draws]
-    if not hits.any():
+    mask = instance.factor_mask
+    if not mask.any():
         return TryOutcome(tries=max_tries, capped=True)
-    i = int(hits.argmax())
-    return TryOutcome(
-        tries=i + 1, capped=False, l=int(draws[i]), factors=extract_factors(instance, instance.r)
-    )
+    rng = np.random.default_rng(seed)
+    offset, size = 0, 16
+    while offset < max_tries:
+        size = min(size, max_tries - offset)
+        draws = dist.cdf.searchsorted(rng.random(size), side="right")
+        hits = mask[draws]
+        if hits.any():
+            i = int(hits.argmax())
+            return TryOutcome(
+                tries=offset + i + 1,
+                capped=False,
+                l=int(draws[i]),
+                factors=extract_factors(instance, instance.r),
+            )
+        offset, size = offset + size, 2 * size
+    return TryOutcome(tries=max_tries, capped=True)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,7 +60,12 @@ class EigenphaseSet:
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """Probabilities over the M control outcomes, exact or sampled; checked once, when made."""
+    """Probabilities over the M control outcomes, exact or sampled; checked once, when made.
+
+    ``probabilities`` and ``counts`` are read-only arrays of their own: an input
+    that is writable or a view is copied, so later writes to the caller's array
+    change neither them nor ``cdf``.
+    """
 
     m: int
     probabilities: np.ndarray
@@ -67,6 +73,12 @@ class PhaseDistribution:
     counts: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        for name in ("probabilities", "counts"):
+            a = getattr(self, name)
+            if a is not None and (a.base is not None or a.flags.writeable):
+                a = a.copy()
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
         p = self.probabilities
         if np.shape(p) != (self.M,):
             raise ValueError(f"probabilities of shape {np.shape(p)}, need ({self.M},) for m={self.m}")
@@ -113,24 +125,94 @@ def work_images(circuits: Sequence[LeveledCircuit], M: int) -> np.ndarray:
     return images
 
 
+# Bytes of FFT workspace for all rows in flight (a complex128 and a float64
+# row each), and the smallest M whose transforms are spread over threads.
+_FFT_BUDGET = 64 << 20
+_POOL_MIN_M = 1 << 17
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _indicator_power(
+    c: np.ndarray, p: np.ndarray, order: np.ndarray, bounds: np.ndarray, start: int, stop: int
+) -> np.ndarray:
+    """|DFT|^2 of indicator rows start..stop-1 into p, with c as the transform's workspace.
+
+    Row u is 1 at the control values order[bounds[u]:bounds[u + 1]], 0 elsewhere.
+    """
+    c, p = c[: stop - start], p[: stop - start]
+    c[:] = 0
+    for row, u in zip(c, range(start, stop)):
+        row[order[bounds[u] : bounds[u + 1]]] = 1
+    np.fft.fft(c, axis=1, out=c)
+    np.abs(c, out=p)
+    return np.square(p, out=p)
+
+
+def _power_blocks(order: np.ndarray, bounds: np.ndarray, M: int, workers: int, size: int):
+    """Yield the indicator rows' |DFT|^2 in blocks of ``size`` rows, in image order.
+
+    Block i is computed in workspace i % workers. With several workers the
+    blocks run on a thread pool with at most one outstanding per workspace,
+    and a workspace is refilled only after the caller has consumed its block.
+    """
+    distinct = len(bounds) - 1
+    spaces = [(np.empty((size, M), complex), np.empty((size, M))) for _ in range(workers)]
+    jobs = [
+        (*spaces[i % workers], order, bounds, start, min(start + size, distinct))
+        for i, start in enumerate(range(0, distinct, size))
+    ]
+    if workers == 1:
+        for job in jobs:
+            yield _indicator_power(*job)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = [pool.submit(_indicator_power, *job) for job in jobs[:workers]]
+        for job in jobs[workers:]:
+            yield pending.pop(0).result()
+            pending.append(pool.submit(_indicator_power, *job))
+        for future in pending:
+            yield future.result()
+
+
 def exact_distribution(
     instance: FactoringInstance, circuits: Sequence[LeveledCircuit]
 ) -> PhaseDistribution:
     """Exact control-register distribution via grouped DFT over work images.
 
-    Indicator rows are transformed 8 at a time (O(M) memory); the row powers are
-    summed one row at a time in image order, which fixes the last bits of P(l).
+    The indicator rows of the distinct images are transformed in blocks, in
+    reused workspaces of 8 rows in all (fewer from m = 19, where 24 * M bytes
+    per row would pass ``_FFT_BUDGET``). From M = 2**17 the blocks are shared
+    by up to 4 threads, one per usable CPU. The calling thread adds each
+    row's power to P(l) one row at a time in image order, which fixes the
+    last bits of P(l) whatever the thread count.
     """
     m, M = instance.m, instance.M
     if len(circuits) < m:
         raise ValueError(f"need circuits for powers 2^0 .. 2^{m - 1}, got {len(circuits)}")
-    uniq, inverse = np.unique(work_images(circuits, M), return_inverse=True)
+    images = work_images(circuits, M)
+    order = images.argsort()
+    # Distinct image u (ascending) is the image of order[bounds[u]:bounds[u + 1]].
+    bounds = np.append(np.flatnonzero(np.diff(images[order], prepend=-1)), M)
+    distinct = len(bounds) - 1
+    rows = min(8, max(1, _FFT_BUDGET // (24 * M)))
+    workers = min(_cpu_count(), 4, rows) if M >= _POOL_MIN_M else 1
+    size = min(rows // workers, distinct)
+    workers = min(workers, math.ceil(distinct / size))
     probs = np.zeros(M)
-    for start in range(0, len(uniq), 8):
-        rows = np.arange(start, min(start + 8, len(uniq)))
-        for power in np.abs(np.fft.fft(inverse == rows[:, None], axis=1)) ** 2:
+    for block in _power_blocks(order, bounds, M, workers, size):
+        for power in block:
             probs += power
-    return PhaseDistribution(m=m, probabilities=probs / M**2, provenance="exact")
+    probs /= M**2
+    probs.flags.writeable = False
+    return PhaseDistribution(m=m, probabilities=probs, provenance="exact")
 
 
 def analytic_amplitude(s: int, r: int, l: int, M: int) -> complex:
@@ -174,9 +256,9 @@ def sample(dist: PhaseDistribution, shots: int, seed: int) -> PhaseDistribution:
     counts = np.random.default_rng(seed).multinomial(
         shots, dist.probabilities / dist.probabilities.sum()
     )
-    return PhaseDistribution(
-        m=dist.m, probabilities=counts / shots, provenance="sampled", counts=counts
-    )
+    probs = counts / shots
+    probs.flags.writeable = counts.flags.writeable = False
+    return PhaseDistribution(m=dist.m, probabilities=probs, provenance="sampled", counts=counts)
 
 
 def run_shor_dense(

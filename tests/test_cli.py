@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import truncshor
 from truncshor.cli import _parse_powers, _parse_range, main
 
 from qasm_grammar import validate_qasm3
@@ -332,3 +337,13 @@ def test_missing_seed_is_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["factor", "--N", "21", "--a", "2", "--m", "5"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_thread_pool():
+    """The exact distribution imports concurrent.futures only when it starts a pool."""
+    src = str(Path(truncshor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, truncshor.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ import truncshor.modmath
 from truncshor import (
     FactoringInstance,
     PhaseDistribution,
+    TryOutcome,
     build_orbit,
     derive_seed,
     exact_distribution,
@@ -59,6 +60,76 @@ def test_tries_until_factor_caps(instances, circuit_sets):
     assert outcome.tries == 25
     assert outcome.capped
     assert outcome.factors is None
+
+
+def one_call_oracle(inst, dist, seed, max_tries):
+    """Test-side oracle: all max_tries outcomes drawn in one call; the first factor-producing one wins."""
+    draws = dist.cdf.searchsorted(np.random.default_rng(seed).random(max_tries), side="right")
+    hits = np.flatnonzero(inst.factor_mask[draws])
+    if hits.size == 0:
+        return max_tries, None, True
+    return int(hits[0]) + 1, int(draws[hits[0]]), False
+
+
+def test_chunked_draws_match_one_call(monkeypatch, instances, circuit_sets):
+    """Chunks of 16, 32, 64, ... give the one-call stream and stop at the chunk that wins."""
+    inst = instances[21]
+    p = np.zeros(inst.M)
+    p[0], p[5] = 299.0, 1.0  # l = 5 wins once in 300 tries, l = 0 never
+    dist = PhaseDistribution(m=inst.m, probabilities=p, provenance="exact")
+    sizes = []
+    default_rng = np.random.default_rng
+
+    class RecordingGenerator(np.random.Generator):
+        def random(self, size):
+            sizes.append(size)
+            return super().random(size)
+
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: RecordingGenerator(default_rng(seed).bit_generator)
+    )
+
+    def run(seed, max_tries):
+        sizes.clear()
+        outcome = tries_until_factor(inst, circuit_sets[21], seed=seed, max_tries=max_tries, dist=dist)
+        chunks = [16, 32, 64, 128, 256, 512]
+        chunks = [min(c, max_tries - sum(chunks[:k])) for k, c in enumerate(chunks)]
+        assert sizes == chunks[: len(sizes)]
+        if outcome.capped:
+            assert sum(sizes) == max_tries
+        else:
+            assert sum(sizes[:-1]) < outcome.tries <= sum(sizes)
+        return outcome.tries, outcome.l, outcome.capped
+
+    # chunk bounds at 500 tries: 16, 48, 112, 240, 496, 500
+    wanted = {1, 16, 17, 48, 49, 112, 113, 240, 241, 496, 497, 499, 500, "capped"}
+    seen = set()
+    for seed in range(20000):
+        expected = one_call_oracle(inst, dist, seed, 500)
+        assert run(seed, 500) == expected
+        seen.add("capped" if expected[2] else expected[0])
+        if wanted <= seen:
+            break
+    assert wanted <= seen
+    p[0], p[5] = 3.0, 1.0
+    dist = PhaseDistribution(m=inst.m, probabilities=p, provenance="exact")
+    for max_tries in (1, 15, 16, 17, 30, 48, 49):
+        for seed in range(100):
+            assert run(seed, max_tries) == one_call_oracle(inst, dist, seed, max_tries)
+
+
+@pytest.mark.parametrize("N, a", [(21, 4), (25, 2)])  # odd r; a**(r/2) = -1 mod N
+def test_instance_without_factor_outcomes_draws_nothing(monkeypatch, N, a):
+    inst = FactoringInstance(N=N, a=a, m=5)
+    assert not inst.factor_mask.any()
+    dist = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32), provenance="exact")
+
+    def no_rng(seed):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    outcome = tries_until_factor(inst, [], seed=1, max_tries=77, dist=dist)
+    assert outcome == TryOutcome(tries=77, capped=True)
 
 
 def test_mismatched_distribution_width_is_rejected(instances, circuit_sets):

@@ -1,9 +1,14 @@
 import cmath
+import concurrent.futures
+import itertools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import truncshor.shor
 from truncshor import (
     EigenphaseSet,
     FactoringInstance,
@@ -110,14 +115,87 @@ def dense_indicator_distribution(circuits, m):
     return (np.abs(spectra) ** 2).sum(axis=0) / M**2
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the thread pools started while the test runs."""
+    started = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    return started
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch every microsecond, so a workspace reused too early shows in the bits."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 @pytest.mark.parametrize("N, a, m, trnc_lv", [
     (21, 2, 5, 0), (21, 2, 5, 3), (143, 5, 12, 0), (143, 5, 12, 10), (247, 2, 13, 18),
+    (143, 5, 14, 18),
 ])
-def test_exact_distribution_matches_dense_indicators_bitwise(N, a, m, trnc_lv):
+def test_exact_distribution_matches_dense_indicators_bitwise(
+    monkeypatch, pools, fast_switching, N, a, m, trnc_lv
+):
+    """Every worker count (1..4) and number of rows in flight (1..8) gives the oracle's bits."""
     inst = FactoringInstance(N=N, a=a, m=m)
     circuits = synth_all_powers(build_orbit(inst), m, trnc_lv)
     expected = dense_indicator_distribution(circuits, m)
+    distinct = len(np.unique(work_images(circuits, inst.M)))
+    monkeypatch.setattr(truncshor.shor, "_POOL_MIN_M", 1)
+    for cpus, rows in itertools.product(range(1, 5), range(1, 9)):
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(truncshor.shor, "_FFT_BUDGET", rows * 24 * inst.M)
+        pools.clear()
+        assert np.array_equal(exact_distribution(inst, circuits).probabilities, expected)
+        workers = min(cpus, rows)
+        assert len(pools) == (workers > 1 and distinct > rows // workers)
+        assert all(w <= workers for w in pools)
+
+
+def test_exact_distribution_one_row_in_flight_uses_no_pool(monkeypatch, pools):
+    inst = FactoringInstance(N=143, a=5, m=14)
+    circuits = synth_all_powers(build_orbit(inst), 14, 4)
+    expected = dense_indicator_distribution(circuits, 14)
+    use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(truncshor.shor, "_POOL_MIN_M", inst.M)
     assert np.array_equal(exact_distribution(inst, circuits).probabilities, expected)
+    assert pools == [4]
+    pools.clear()
+    monkeypatch.setattr(truncshor.shor, "_FFT_BUDGET", 24 * inst.M - 1)
+    assert np.array_equal(exact_distribution(inst, circuits).probabilities, expected)
+    assert pools == []
+
+
+def test_exact_distribution_below_pool_size_starts_no_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    use_cpus(monkeypatch, 4)
+    for N, a, m, trnc_lv in [(143, 5, 12, 10), (247, 2, 13, 18)]:
+        inst = FactoringInstance(N=N, a=a, m=m)
+        circuits = synth_all_powers(build_orbit(inst), m, trnc_lv)
+        assert np.array_equal(
+            exact_distribution(inst, circuits).probabilities, dense_indicator_distribution(circuits, m)
+        )
+    inst = FactoringInstance(N=143, a=5, m=16)  # the largest M below the pool size
+    dist = exact_distribution(inst, synth_all_powers(build_orbit(inst), 16, 10))
+    assert dist.probabilities.sum() == pytest.approx(1.0)
 
 
 def test_analytic_amplitude_examples():
@@ -305,6 +383,40 @@ def test_cdf_is_built_once_and_read_only():
     assert list(dist.cdf) == [0.25, 0.25, 1.0, 1.0]
     with pytest.raises(ValueError):
         dist.cdf[0] = 0.5
+
+
+def test_phase_distribution_keeps_no_writable_alias():
+    caller = np.array([1.0, 0.0, 3.0, 0.0])
+    dist = PhaseDistribution(m=2, probabilities=caller, provenance="exact")
+    cdf = dist.cdf.copy()
+    caller[:] = [0.0, 4.0, 0.0, 0.0]
+    assert list(dist.probabilities) == [1.0, 0.0, 3.0, 0.0]
+    assert np.array_equal(dist.cdf, cdf)
+    with pytest.raises(ValueError):
+        dist.probabilities[0] = 0.5
+    view = caller.view()
+    view.flags.writeable = False
+    counts = np.array([1, 0, 3, 0])
+    for given in (view, np.broadcast_to(caller[1:2], (4,))):
+        dist = PhaseDistribution(m=2, probabilities=given, provenance="sampled", counts=counts)
+        kept, cdf = given.copy(), dist.cdf.copy()
+        caller[1] += 1.0
+        counts[0] += 7
+        assert np.array_equal(dist.probabilities, kept)
+        assert np.array_equal(dist.cdf, cdf)
+        assert list(dist.counts) == [1, 0, 3, 0]
+        counts[0] = 1
+    frozen = np.full(4, 0.25)
+    frozen.flags.writeable = False
+    assert PhaseDistribution(m=2, probabilities=frozen, provenance="exact").probabilities is frozen
+
+
+def test_exact_and_sampled_probabilities_are_read_only(instances, circuit_sets):
+    dist = exact_distribution(instances[21], circuit_sets[21])
+    sampled = sample(dist, 100, seed=1)
+    for d in (dist, sampled):
+        assert not d.probabilities.flags.writeable
+    assert not sampled.counts.flags.writeable
 
 
 BAD_PROBABILITIES = {
