@@ -9,20 +9,16 @@ much of the circuit is actually needed to factor.
 
 from .circuit import (
     Control,
-    DimensionMismatchError,
     Gate,
     LeveledCircuit,
     PermutationTable,
     apply_gates,
     apply_to_basis,
     apply_to_basis_array,
-    apply_to_statevector,
-    concatenate_power,
     from_json,
     from_json_dict,
     lower_negative_controls,
     permutation_table,
-    restricted_equal,
     to_json,
     to_json_dict,
 )
@@ -60,15 +56,9 @@ from .qasm import to_qasm3
 from .shor import (
     EigenphaseSet,
     PhaseDistribution,
-    TooLargeError,
-    analytic_amplitude,
-    control_image,
-    eigenstate_vector,
     exact_distribution,
     histogram_csv,
     nearest_phase_bin,
-    phase_bits,
-    run_shor_dense,
     sample,
     work_images,
 )

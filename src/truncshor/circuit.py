@@ -1,4 +1,4 @@
-"""Gate-level IR for reversible circuits plus two evaluation backends.
+"""Gate-level IR for reversible circuits.
 
 A circuit is an ordered list of levels, each an ordered list of NOT /
 multi-controlled-NOT gates. Controls carry polarity: a negated control
@@ -18,13 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
-
-
-class DimensionMismatchError(ValueError):
-    """State vector length does not match the circuit's qubit count."""
 
 
 VERSION_CONCATENATED = "concatenated"
@@ -156,67 +152,11 @@ def apply_to_basis_array(circuit: LeveledCircuit, values: np.ndarray) -> np.ndar
     return circuit.table[values]
 
 
-def _apply_gate_dense(state: np.ndarray, gate_target: int,
-                      controls: Sequence[tuple[int, bool]]) -> None:
-    """Swap amplitude pairs (w, w^target) wherever the controls match, in place."""
-    idx = np.arange(state.shape[0])
-    mask = ((idx >> gate_target) & 1) == 0
-    for qubit, negated in controls:
-        bit = (idx >> qubit) & 1
-        mask &= (bit == 0) if negated else (bit == 1)
-    src = idx[mask]
-    dst = src | (1 << gate_target)
-    state[src], state[dst] = state[dst].copy(), state[src].copy()
-
-
-def apply_to_statevector(circuit: LeveledCircuit, state: np.ndarray) -> np.ndarray:
-    """Dense reference backend: same action as apply_to_basis, extended linearly.
-
-    All gates are basis permutations, so the 2-norm is preserved exactly.
-    """
-    dim = 1 << circuit.n_qubits
-    state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (dim,):
-        raise DimensionMismatchError(
-            f"expected state of length {dim}, got shape {state.shape}"
-        )
-    out = state.copy()
-    for gate in circuit.gates():
-        _apply_gate_dense(out, gate.target, [(c.qubit, c.negated) for c in gate.controls])
-    return out
-
-
 def permutation_table(circuit: LeveledCircuit, domain: Iterable[int]) -> PermutationTable:
     dom = tuple(domain)
     return PermutationTable(
         domain=dom, image=tuple(apply_to_basis_array(circuit, dom).tolist())
     )
-
-
-def concatenate_power(u: LeveledCircuit, p: int) -> LeveledCircuit:
-    """Repeat u's levels p times: the brute-force composite operator.
-
-    Used as a correctness oracle against per-power synthesis, not in the
-    production pipeline (it wastes a factor r of gates).
-    """
-    if p < 1:
-        raise ValueError(f"power must be >= 1, got {p}")
-    return LeveledCircuit(
-        n_qubits=u.n_qubits,
-        power=u.power * p,
-        levels=u.levels * p,
-        trnc_lv=u.trnc_lv,
-        version=VERSION_CONCATENATED,
-    )
-
-
-def restricted_equal(c1: LeveledCircuit, c2: LeveledCircuit,
-                     domain: Iterable[int]) -> bool:
-    """True iff the two circuits act identically on the given domain."""
-    if c1.n_qubits != c2.n_qubits:
-        raise ValueError("circuits must have the same qubit count")
-    dom = tuple(domain)
-    return permutation_table(c1, dom) == permutation_table(c2, dom)
 
 
 def lower_negative_controls(circuit: LeveledCircuit) -> LeveledCircuit:

@@ -85,8 +85,14 @@ def _parse_powers(spec: str) -> list[int]:
     return powers
 
 
-def _parse_int_list(spec: str) -> list[int]:
-    return [int(tok) for tok in spec.split(",") if tok]
+def _parse_widths(spec: str) -> list[int]:
+    """Comma list of distinct control widths for ``study --m``."""
+    widths = [int(tok) for tok in spec.split(",") if tok]
+    if not widths:
+        raise ValueError(f"--m needs at least one control width, got {spec!r}")
+    if len(set(widths)) != len(widths):
+        raise ValueError(f"--m lists a control width twice: {spec!r}")
+    return widths
 
 
 def _report_common_factor(args: argparse.Namespace, e: NotCoprimeError, **extra) -> int:
@@ -200,9 +206,9 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    instance = FactoringInstance(N=args.N, a=args.a, m=max(_parse_int_list(args.m)))
+    m_values = _parse_widths(args.m)
+    instance = FactoringInstance(N=args.N, a=args.a, m=max(m_values))
     trnc_levels = _parse_range(args.trnc)
-    m_values = _parse_int_list(args.m)
     cells = resolution_study(
         instance,
         m_values,

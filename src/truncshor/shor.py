@@ -1,4 +1,4 @@
-"""Phase-estimation pipeline: control images, exact and sampled distributions.
+"""Phase-estimation pipeline: work images, exact and sampled distributions.
 
 The inverse QFT is never materialized as gates. Work images w(k) are
 computed for all control values k, grouped, and the control-register
@@ -6,14 +6,13 @@ distribution follows from one length-M DFT per distinct image:
 
     P(l) = (1/M^2) * sum_w | sum_{k: w(k)=w} exp(-2*pi*i*k*l/M) |^2
 
-A dense statevector backend over all m+n qubits provides an independent
-cross-check, and the closed-form eigenphase amplitudes provide another.
+The tests check this against independent references in ``tests/oracles.py``:
+a dense statevector backend over all m+n qubits and the closed-form
+eigenphase amplitudes.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -24,19 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import (
-    Control,
-    Gate,
-    LeveledCircuit,
-    VERSION_PER_POWER,
-    apply_to_basis,
-    apply_to_statevector,
-)
-from .modmath import FactoringInstance, Orbit
-
-
-class TooLargeError(ValueError):
-    """Dense backend would need more qubits than the configured cap."""
+from .circuit import LeveledCircuit
+from .modmath import FactoringInstance
 
 
 @dataclass(frozen=True)
@@ -99,26 +87,11 @@ class PhaseDistribution:
         return cdf
 
 
-def control_image(circuits: Sequence[LeveledCircuit], k: int) -> int:
-    """Work image of control value k, starting from work state 1.
-
-    Applies U**(2**q) for each set bit q of k in ascending order. For
-    untruncated circuits this is f(k mod r); truncated circuits produce
-    whatever their gate-level permutations give.
-    """
-    if k < 0:
-        raise ValueError(f"control value must be non-negative, got {k}")
-    w = 1
-    q = 0
-    while k >> q:
-        if (k >> q) & 1:
-            w = apply_to_basis(circuits[q], w)
-        q += 1
-    return w
-
-
 def work_images(circuits: Sequence[LeveledCircuit], M: int) -> np.ndarray:
-    """Vectorized control_image for every k in [0, M), doubling: w(k + 2**q) = U**(2**q) w(k)."""
+    """Work image of every control value k in [0, M) from work state 1.
+
+    Applies U**(2**q) for each set bit q of k, by doubling: w(k + 2**q) = U**(2**q) w(k).
+    """
     images = np.ones(1, dtype=np.int64)
     for q in range(M.bit_length() - 1):
         images = np.concatenate((images, circuits[q].table[images]))
@@ -215,38 +188,6 @@ def exact_distribution(
     return PhaseDistribution(m=m, probabilities=probs, provenance="exact")
 
 
-def analytic_amplitude(s: int, r: int, l: int, M: int) -> complex:
-    """Closed-form amplitude of outcome l for eigenphase s/r.
-
-    A_l = (1/(sqrt(r)*M)) * (1 - e^(2*pi*i*d*M)) / (1 - e^(2*pi*i*d)) with
-    d = s/r - l/M; the removable singularity at integer d evaluates to
-    1/sqrt(r). The singularity test is exact integer arithmetic.
-    """
-    if r < 1 or M < 1:
-        raise ValueError("r and M must be positive")
-    if not 0 <= l < M:
-        raise ValueError(f"need 0 <= l < M, got l={l}")
-    num = s * M - l * r
-    if num % (r * M) == 0:
-        return complex(1.0 / math.sqrt(r))
-    delta = num / (r * M)
-    numerator = 1.0 - np.exp(2j * np.pi * delta * M)
-    denominator = 1.0 - np.exp(2j * np.pi * delta)
-    return complex(numerator / denominator / (math.sqrt(r) * M))
-
-
-def eigenstate_vector(orbit: Orbit, s: int) -> np.ndarray:
-    """Eigenvector u_s = (1/sqrt(r)) * sum_k e^(-2*pi*i*k*s/r) |f(k)>."""
-    r = orbit.r
-    if not 0 <= s < r:
-        raise ValueError(f"need 0 <= s < r={r}, got {s}")
-    n = orbit.instance.n
-    vec = np.zeros(1 << n, dtype=np.complex128)
-    for k, state in enumerate(orbit.states):
-        vec[state] = np.exp(-2j * np.pi * k * s / r) / math.sqrt(r)
-    return vec
-
-
 def sample(dist: PhaseDistribution, shots: int, seed: int) -> PhaseDistribution:
     """Multinomial draw from an exact distribution; deterministic per seed."""
     if dist.provenance != "exact":
@@ -261,61 +202,9 @@ def sample(dist: PhaseDistribution, shots: int, seed: int) -> PhaseDistribution:
     return PhaseDistribution(m=dist.m, probabilities=probs, provenance="sampled", counts=counts)
 
 
-def run_shor_dense(
-    instance: FactoringInstance,
-    circuits: Sequence[LeveledCircuit],
-    max_qubits: int = 22,
-) -> PhaseDistribution:
-    """Reference backend over the full 2**(m+n) statevector.
-
-    Prepares the uniform control register against work state 1, applies
-    each controlled power gate by gate, takes the inverse QFT on the
-    control register analytically, and reads off |amplitude|^2.
-    """
-    m, n, M = instance.m, instance.n, instance.M
-    total = m + n
-    if total > max_qubits:
-        raise TooLargeError(f"{total} qubits exceeds the dense cap of {max_qubits}")
-    if len(circuits) < m:
-        raise ValueError(f"need circuits for powers 2^0 .. 2^{m - 1}, got {len(circuits)}")
-    # Control bits occupy global positions 0..m-1, work bit j sits at m+j,
-    # so the flat index is k + M*w.
-    state = np.zeros(1 << total, dtype=np.complex128)
-    state[M : 2 * M] = 1.0 / math.sqrt(M)
-    controlled_levels = []
-    for q in range(m):
-        gates = []
-        for gate in circuits[q].gates():
-            gates.append(
-                Gate(
-                    target=m + gate.target,
-                    controls=(Control(qubit=q),)
-                    + tuple(Control(qubit=m + c.qubit, negated=c.negated) for c in gate.controls),
-                )
-            )
-        controlled_levels.append(tuple(gates))
-    global_circuit = LeveledCircuit(
-        n_qubits=total,
-        power=1,
-        levels=tuple(controlled_levels),
-        version=VERSION_PER_POWER,
-    )
-    state = apply_to_statevector(global_circuit, state)
-    # Inverse QFT on the control register: one forward DFT per work row.
-    rows = state.reshape(1 << n, M)
-    transformed = np.fft.fft(rows, axis=1) / math.sqrt(M)
-    probs = (np.abs(transformed) ** 2).sum(axis=0)
-    return PhaseDistribution(m=m, probabilities=probs, provenance="exact")
-
-
 def nearest_phase_bin(s: int, r: int, M: int) -> int:
     """Control bin closest to eigenphase s/r: round(M*s/r), half rounded up."""
     return ((2 * M * s + r) // (2 * r)) % M
-
-
-def phase_bits(l: int, m: int) -> str:
-    """The m-bit binary expansion of l as a string."""
-    return format(l, f"0{m}b")
 
 
 def histogram_csv(
@@ -323,7 +212,7 @@ def histogram_csv(
     dist: PhaseDistribution,
     sampled: Optional[PhaseDistribution] = None,
 ) -> str:
-    """CSV with one row per outcome carrying nonzero probability or count.
+    """CSV with one row per outcome whose probability exceeds 1e-15 or whose count is nonzero.
 
     Columns: ell, phase_binary, phase_decimal, probability, counts,
     produces_factors (``instance.factor_mask``).
@@ -331,26 +220,18 @@ def histogram_csv(
     for d in (dist, sampled):
         if d is not None and d.m != instance.m:
             raise ValueError(f"distribution over m={d.m} bits, instance has m={instance.m}")
-    M = instance.M
-    counts = sampled.counts if sampled is not None and sampled.counts is not None else None
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["ell", "phase_binary", "phase_decimal", "probability", "counts", "produces_factors"]
-    )
-    for l in range(M):
-        p = float(dist.probabilities[l])
-        c = int(counts[l]) if counts is not None else 0
-        if p <= 1e-15 and c == 0:
-            continue
-        writer.writerow(
-            [
-                l,
-                "0." + phase_bits(l, instance.m),
-                repr(l / M),
-                repr(p),
-                c,
-                int(instance.factor_mask[l]),
-            ]
-        )
-    return buf.getvalue()
+    m, M = instance.m, instance.M
+    p = dist.probabilities.astype(float, copy=False)
+    if sampled is not None and sampled.counts is not None:
+        counts = sampled.counts.astype(np.int64, copy=False)
+    else:
+        counts = np.zeros(M, dtype=np.int64)
+    keep = np.flatnonzero((p > 1e-15) | (counts != 0))
+    parts = ["ell,phase_binary,phase_decimal,probability,counts,produces_factors\n"]
+    # 4096 rows at a time: the Python values and row strings of all M rows at
+    # once would take about twice the memory of the CSV text itself.
+    for start in range(0, len(keep), 4096):
+        ks = keep[start : start + 4096]
+        rows = zip(ks.tolist(), p[ks].tolist(), counts[ks].tolist(), instance.factor_mask[ks].tolist())
+        parts.append("".join(f"{l},0.{l:0{m}b},{l / M!r},{q!r},{c},{int(f)}\n" for l, q, c, f in rows))
+    return "".join(parts)

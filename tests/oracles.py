@@ -1,0 +1,221 @@
+"""Reference implementations the tests check the library against.
+
+None of these runs in the CLI or the pipeline. Each computes its result a
+second, independent way: a brute-force concatenated U^p, the dense
+2^(m+n) statevector backend, the scalar control image, the closed-form
+eigenphase amplitudes and eigenvectors, and the histogram CSV written one
+outcome at a time.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+from truncshor.circuit import (
+    Control,
+    Gate,
+    LeveledCircuit,
+    VERSION_CONCATENATED,
+    VERSION_PER_POWER,
+    apply_to_basis,
+    permutation_table,
+)
+from truncshor.modmath import FactoringInstance, Orbit
+from truncshor.shor import PhaseDistribution
+
+
+class DimensionMismatchError(ValueError):
+    """State vector length does not match the circuit's qubit count."""
+
+
+class TooLargeError(ValueError):
+    """Dense backend would need more qubits than the configured cap."""
+
+
+def _apply_gate_dense(state: np.ndarray, gate_target: int,
+                      controls: Sequence[tuple[int, bool]]) -> None:
+    """Swap amplitude pairs (w, w^target) wherever the controls match, in place."""
+    idx = np.arange(state.shape[0])
+    mask = ((idx >> gate_target) & 1) == 0
+    for qubit, negated in controls:
+        bit = (idx >> qubit) & 1
+        mask &= (bit == 0) if negated else (bit == 1)
+    src = idx[mask]
+    dst = src | (1 << gate_target)
+    state[src], state[dst] = state[dst].copy(), state[src].copy()
+
+
+def apply_to_statevector(circuit: LeveledCircuit, state: np.ndarray) -> np.ndarray:
+    """Dense reference backend: same action as apply_to_basis, extended linearly.
+
+    All gates are basis permutations, so the 2-norm is preserved exactly.
+    """
+    dim = 1 << circuit.n_qubits
+    state = np.asarray(state, dtype=np.complex128)
+    if state.shape != (dim,):
+        raise DimensionMismatchError(
+            f"expected state of length {dim}, got shape {state.shape}"
+        )
+    out = state.copy()
+    for gate in circuit.gates():
+        _apply_gate_dense(out, gate.target, [(c.qubit, c.negated) for c in gate.controls])
+    return out
+
+
+def concatenate_power(u: LeveledCircuit, p: int) -> LeveledCircuit:
+    """Repeat u's levels p times: the brute-force composite operator.
+
+    Used as a correctness oracle against per-power synthesis, not in the
+    production pipeline (it wastes a factor r of gates).
+    """
+    if p < 1:
+        raise ValueError(f"power must be >= 1, got {p}")
+    return LeveledCircuit(
+        n_qubits=u.n_qubits,
+        power=u.power * p,
+        levels=u.levels * p,
+        trnc_lv=u.trnc_lv,
+        version=VERSION_CONCATENATED,
+    )
+
+
+def restricted_equal(c1: LeveledCircuit, c2: LeveledCircuit,
+                     domain: Iterable[int]) -> bool:
+    """True iff the two circuits act identically on the given domain."""
+    if c1.n_qubits != c2.n_qubits:
+        raise ValueError("circuits must have the same qubit count")
+    dom = tuple(domain)
+    return permutation_table(c1, dom) == permutation_table(c2, dom)
+
+
+def control_image(circuits: Sequence[LeveledCircuit], k: int) -> int:
+    """Work image of control value k, starting from work state 1.
+
+    Applies U**(2**q) for each set bit q of k in ascending order. For
+    untruncated circuits this is f(k mod r); truncated circuits produce
+    whatever their gate-level permutations give.
+    """
+    if k < 0:
+        raise ValueError(f"control value must be non-negative, got {k}")
+    w = 1
+    q = 0
+    while k >> q:
+        if (k >> q) & 1:
+            w = apply_to_basis(circuits[q], w)
+        q += 1
+    return w
+
+
+def analytic_amplitude(s: int, r: int, l: int, M: int) -> complex:
+    """Closed-form amplitude of outcome l for eigenphase s/r.
+
+    A_l = (1/(sqrt(r)*M)) * (1 - e^(2*pi*i*d*M)) / (1 - e^(2*pi*i*d)) with
+    d = s/r - l/M; the removable singularity at integer d evaluates to
+    1/sqrt(r). The singularity test is exact integer arithmetic.
+    """
+    if r < 1 or M < 1:
+        raise ValueError("r and M must be positive")
+    if not 0 <= l < M:
+        raise ValueError(f"need 0 <= l < M, got l={l}")
+    num = s * M - l * r
+    if num % (r * M) == 0:
+        return complex(1.0 / math.sqrt(r))
+    delta = num / (r * M)
+    numerator = 1.0 - np.exp(2j * np.pi * delta * M)
+    denominator = 1.0 - np.exp(2j * np.pi * delta)
+    return complex(numerator / denominator / (math.sqrt(r) * M))
+
+
+def eigenstate_vector(orbit: Orbit, s: int) -> np.ndarray:
+    """Eigenvector u_s = (1/sqrt(r)) * sum_k e^(-2*pi*i*k*s/r) |f(k)>."""
+    r = orbit.r
+    if not 0 <= s < r:
+        raise ValueError(f"need 0 <= s < r={r}, got {s}")
+    n = orbit.instance.n
+    vec = np.zeros(1 << n, dtype=np.complex128)
+    for k, state in enumerate(orbit.states):
+        vec[state] = np.exp(-2j * np.pi * k * s / r) / math.sqrt(r)
+    return vec
+
+
+def run_shor_dense(
+    instance: FactoringInstance,
+    circuits: Sequence[LeveledCircuit],
+    max_qubits: int = 22,
+) -> PhaseDistribution:
+    """Reference backend over the full 2**(m+n) statevector.
+
+    Prepares the uniform control register against work state 1, applies
+    each controlled power gate by gate, takes the inverse QFT on the
+    control register analytically, and reads off |amplitude|^2.
+    """
+    m, n, M = instance.m, instance.n, instance.M
+    total = m + n
+    if total > max_qubits:
+        raise TooLargeError(f"{total} qubits exceeds the dense cap of {max_qubits}")
+    if len(circuits) < m:
+        raise ValueError(f"need circuits for powers 2^0 .. 2^{m - 1}, got {len(circuits)}")
+    # Control bits occupy global positions 0..m-1, work bit j sits at m+j,
+    # so the flat index is k + M*w.
+    state = np.zeros(1 << total, dtype=np.complex128)
+    state[M : 2 * M] = 1.0 / math.sqrt(M)
+    controlled_levels = []
+    for q in range(m):
+        gates = []
+        for gate in circuits[q].gates():
+            gates.append(
+                Gate(
+                    target=m + gate.target,
+                    controls=(Control(qubit=q),)
+                    + tuple(Control(qubit=m + c.qubit, negated=c.negated) for c in gate.controls),
+                )
+            )
+        controlled_levels.append(tuple(gates))
+    global_circuit = LeveledCircuit(
+        n_qubits=total,
+        power=1,
+        levels=tuple(controlled_levels),
+        version=VERSION_PER_POWER,
+    )
+    state = apply_to_statevector(global_circuit, state)
+    # Inverse QFT on the control register: one forward DFT per work row.
+    rows = state.reshape(1 << n, M)
+    transformed = np.fft.fft(rows, axis=1) / math.sqrt(M)
+    probs = (np.abs(transformed) ** 2).sum(axis=0)
+    return PhaseDistribution(m=m, probabilities=probs, provenance="exact")
+
+
+def histogram_csv_loop(
+    instance: FactoringInstance,
+    dist: PhaseDistribution,
+    sampled: Optional[PhaseDistribution] = None,
+) -> str:
+    """``histogram_csv`` one outcome at a time through ``csv.writer``."""
+    M = instance.M
+    counts = sampled.counts if sampled is not None and sampled.counts is not None else None
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["ell", "phase_binary", "phase_decimal", "probability", "counts", "produces_factors"]
+    )
+    for l in range(M):
+        p = float(dist.probabilities[l])
+        c = int(counts[l]) if counts is not None else 0
+        if p <= 1e-15 and c == 0:
+            continue
+        writer.writerow(
+            [
+                l,
+                "0." + format(l, f"0{instance.m}b"),
+                repr(l / M),
+                repr(p),
+                c,
+                int(instance.factor_mask[l]),
+            ]
+        )
+    return buf.getvalue()

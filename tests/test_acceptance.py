@@ -11,21 +11,15 @@ import numpy as np
 
 from truncshor import (
     FactoringInstance,
-    analytic_amplitude,
     analyze_measurement,
     apply_to_basis,
-    apply_to_statevector,
     build_orbit,
-    concatenate_power,
     cycle_decomposition,
-    eigenstate_vector,
     exact_distribution,
     from_json,
     lower_negative_controls,
     peak_presence,
     permutation_table,
-    restricted_equal,
-    run_shor_dense,
     synth_all_powers,
     synth_me_operator,
     to_json,
@@ -34,6 +28,14 @@ from truncshor import (
 )
 
 from conftest import CASES
+from oracles import (
+    analytic_amplitude,
+    apply_to_statevector,
+    concatenate_power,
+    eigenstate_vector,
+    restricted_equal,
+    run_shor_dense,
+)
 from qasm_grammar import validate_qasm3
 from reference_data import (
     CYCLES,

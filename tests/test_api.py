@@ -1,0 +1,56 @@
+"""The public API surface, and the names the benchmark's span recorder wraps."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import truncshor
+
+import oracles
+
+# Test-only reference implementations: they live in tests/oracles.py, not in the library.
+REFERENCES = {
+    "circuit": [
+        "DimensionMismatchError", "_apply_gate_dense", "apply_to_statevector",
+        "concatenate_power", "restricted_equal",
+    ],
+    "shor": [
+        "TooLargeError", "control_image", "analytic_amplitude", "eigenstate_vector",
+        "run_shor_dense",
+    ],
+}
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def traced_names() -> dict:
+    """``TRACED`` from perfbench/spans.py, read as a literal without importing the file."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no TRACED assignment in {SPANS}")
+
+
+@pytest.mark.parametrize(
+    "layer, name", [(layer, name) for layer, names in REFERENCES.items() for name in names]
+)
+def test_reference_implementations_are_test_side(layer, name):
+    assert not hasattr(truncshor, name)
+    assert not hasattr(importlib.import_module(f"truncshor.{layer}"), name)
+    assert callable(getattr(oracles, name))
+
+
+def test_phase_bits_is_gone():
+    assert not hasattr(truncshor, "phase_bits")
+    assert not hasattr(truncshor.shor, "phase_bits")
+
+
+@pytest.mark.parametrize(
+    "layer, name", [(layer, name) for layer, names in traced_names().items() for name in names]
+)
+def test_traced_name_resolves(layer, name):
+    assert callable(getattr(importlib.import_module(f"truncshor.{layer}"), name))

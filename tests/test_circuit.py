@@ -6,21 +6,24 @@ import pytest
 
 from truncshor import (
     Control,
-    DimensionMismatchError,
     Gate,
     LeveledCircuit,
     apply_gates,
     apply_to_basis,
     apply_to_basis_array,
-    apply_to_statevector,
-    concatenate_power,
     from_json,
     from_json_dict,
     lower_negative_controls,
     permutation_table,
-    restricted_equal,
     to_json,
     to_json_dict,
+)
+
+from oracles import (
+    DimensionMismatchError,
+    apply_to_statevector,
+    concatenate_power,
+    restricted_equal,
 )
 
 

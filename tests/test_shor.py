@@ -14,17 +14,11 @@ from truncshor import (
     FactoringInstance,
     LeveledCircuit,
     PhaseDistribution,
-    TooLargeError,
-    analytic_amplitude,
     apply_to_basis_array,
-    apply_to_statevector,
     build_orbit,
-    control_image,
-    eigenstate_vector,
     exact_distribution,
     histogram_csv,
     nearest_phase_bin,
-    run_shor_dense,
     sample,
     synth_all_powers,
     tries_until_factor,
@@ -32,6 +26,14 @@ from truncshor import (
 )
 
 from conftest import CASES
+from oracles import (
+    TooLargeError,
+    analytic_amplitude,
+    apply_to_statevector,
+    control_image,
+    eigenstate_vector,
+    run_shor_dense,
+)
 from reference_data import P5_N21_EXACT
 
 

@@ -8,10 +8,8 @@ from truncshor import (
     Gate,
     ProtectedCollisionError,
     apply_to_basis,
-    concatenate_power,
     cycle_decomposition,
     minimize_controls,
-    restricted_equal,
     synth_all_powers,
     synth_level,
     synth_me_operator,
@@ -21,6 +19,7 @@ from truncshor import (
 from truncshor.synth import _flip_path
 
 from conftest import CASES
+from oracles import concatenate_power, restricted_equal
 
 
 def apply_gates(gates, w):
