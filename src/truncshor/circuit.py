@@ -8,6 +8,9 @@ fires on 0 instead of 1 and stands for the usual X-conjugation, which
 ``Gate.apply`` is the reference semantics; ``apply_gates`` evaluates the same
 patterns as (care, fire) bit masks over arrays, for the table and synthesis.
 
+``to_json_dict`` is the JSON schema. ``to_json`` writes the same text
+``json.dumps`` makes of it, but directly, from per-control strings.
+
 Bit convention: qubit k is bit k of the basis integer, so qubit 0 is the
 least significant bit (the OpenQASM/Qiskit ordering). That convention is
 used everywhere, including serialization.
@@ -245,7 +248,47 @@ def from_json_dict(data: dict) -> LeveledCircuit:
 
 
 def to_json(circuit: LeveledCircuit, indent: int | None = None) -> str:
-    return json.dumps(to_json_dict(circuit), indent=indent)
+    """The text of ``json.dumps(to_json_dict(circuit), indent=indent)``, written directly.
+
+    With ``indent`` set, ``json`` encodes in pure Python, object by object.
+    Here the text of each of the 2n possible controls is made once, and a
+    gate's text is joined from them. ``breaks[d]`` starts a line at depth
+    d (the top-level fields are at depth 1, a gate's fields at 4, a
+    control's at 6), and ``commas[d]`` separates items at that depth, as
+    ``json`` lays them out.
+    """
+    if indent is None:
+        breaks, commas = [""] * 7, [", "] * 7
+    else:
+        if not isinstance(indent, str):
+            indent = " " * indent
+        breaks = ["\n" + indent * depth for depth in range(7)]
+        commas = ["," + b for b in breaks]
+
+    def container(brackets: str, items: list[str], depth: int) -> str:
+        if not items:
+            return brackets
+        return (brackets[0] + breaks[depth] + commas[depth].join(items)
+                + breaks[depth - 1] + brackets[1])
+
+    control_text = {
+        negated: [container("{}", [f'"q": {q}', f'"neg": {json.dumps(negated)}'], 6)
+                  for q in range(circuit.n_qubits)]
+        for negated in (False, True)
+    }
+    levels = []
+    for level in circuit.levels:
+        gates = []
+        for gate in level:
+            fields = [f'"gate": "{"mcx" if gate.controls else "x"}"', f'"target": {gate.target}']
+            if gate.controls:
+                controls = [control_text[c.negated][c.qubit] for c in gate.controls]
+                fields.append('"controls": ' + container("[]", controls, 5))
+            gates.append(container("{}", fields, 4))
+        levels.append(container("[]", gates, 3))
+    fields = [f'"{key}": {json.dumps(getattr(circuit, key))}'
+              for key in ("n_qubits", "power", "trnc_lv", "version")]
+    return container("{}", fields + ['"levels": ' + container("[]", levels, 2)], 1)
 
 
 def from_json(text: str) -> LeveledCircuit:

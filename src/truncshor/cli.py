@@ -54,20 +54,26 @@ def _emit(args: argparse.Namespace, event: dict, text: str) -> None:
         print(text)
 
 
-def _parse_range(spec: str) -> list[int]:
-    """'lo:hi' inclusive, or a single integer."""
+def _parse_int(token: str, option: str, spec: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{option} takes integers, got {spec!r}") from None
+
+
+def _parse_range(spec: str, option: str = "range") -> list[int]:
+    """'lo:hi' inclusive, or a single integer; a bad token names the option."""
     if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = (_parse_int(tok, option, spec) for tok in spec.split(":", 1))
         if hi < lo:
             raise ValueError(f"empty range {spec!r}")
         return list(range(lo, hi + 1))
-    return [int(spec)]
+    return [_parse_int(spec, option, spec)]
 
 
 def _parse_powers(spec: str) -> list[int]:
     """Powers of two inside an inclusive 'lo:hi' range, or one explicit power."""
-    values = _parse_range(spec)
+    values = _parse_range(spec, "--powers")
     if len(values) == 1:
         p = values[0]
         if p < 1 or p & (p - 1):
@@ -87,7 +93,7 @@ def _parse_powers(spec: str) -> list[int]:
 
 def _parse_widths(spec: str) -> list[int]:
     """Comma list of distinct control widths for ``study --m``."""
-    widths = [int(tok) for tok in spec.split(",") if tok]
+    widths = [_parse_int(tok, "--m", spec) for tok in spec.split(",") if tok]
     if not widths:
         raise ValueError(f"--m needs at least one control width, got {spec!r}")
     if len(set(widths)) != len(widths):
@@ -142,7 +148,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         else:
             path = out_dir / f"{stem}.qasm"
             _write_atomic(path, qasm.to_qasm3(circ))
-        cert = circuit_mod.permutation_table(circ, orbit.states)
+        cert = circuit_mod.permutation_table(shared, orbit.states)  # congruent powers share its table
         cert_path = out_dir / f"{stem}_cert.json"
         _write_atomic(cert_path, json.dumps(cert.to_json_dict(), indent=2) + "\n")
         _emit(
@@ -208,7 +214,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
 def cmd_study(args: argparse.Namespace) -> int:
     m_values = _parse_widths(args.m)
     instance = FactoringInstance(N=args.N, a=args.a, m=max(m_values))
-    trnc_levels = _parse_range(args.trnc)
+    trnc_levels = _parse_range(args.trnc, "--trnc")
     cells = resolution_study(
         instance,
         m_values,

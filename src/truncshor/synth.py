@@ -15,12 +15,17 @@ Two constraint tiers govern gate construction:
   partner of the current step, which a NOT gate unavoidably swaps with
   the running value. That displacement is tracked, never lost.
 
+Both searches work on Python integers used as bit sets. Each level gives
+every avoided value a slot in n bit planes (bit i of plane q is bit q of
+the value in slot i), so a step's greedy control search is a few ORs
+over the planes. A blocked direct path is rerouted through distance
+layers grown from the target as 2^n-bit sets of basis values.
+
 Truncation then simply empties the last ``trnc_lv`` levels.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
 from typing import Iterable, Optional
 
@@ -40,6 +45,37 @@ class ProtectedCollisionError(RuntimeError):
     """No bit-flip path around the protected set; valid input can reach it (N=19, a=2, p=1)."""
 
 
+def _planes(values: list[int], n_qubits: int) -> list[int]:
+    """Bit planes over value slots: bit i of ``planes[q]`` is bit q of ``values[i]``."""
+    bits = np.array(values, dtype=np.int64) >> np.arange(n_qubits)[:, None] & 1
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(bits, axis=1, bitorder="little")]
+
+
+def _greedy_controls(
+    planes: list[int], slots: int, fire_value: int, n_qubits: int, target: int
+) -> tuple[Control, ...]:
+    """The greedy control search against the values in the ``slots`` mask of ``planes``.
+
+    A pattern matches a value iff the value agrees with fire_value on every
+    care bit, so the values a care set excludes are the union of the
+    per-bit "differs" masks. Dropping bit q leaves the kept bits above q
+    and every bit below it, and is allowed iff that union still covers
+    every forbidden slot.
+    """
+    differs = [plane & slots ^ (slots if fire_value >> q & 1 else 0) if q != target else 0
+               for q, plane in enumerate(planes)]
+    below = [0] * n_qubits  # below[q]: union of differs over the bits under q
+    for q in range(1, n_qubits):
+        below[q] = below[q - 1] | differs[q - 1]
+    kept, controls = 0, []
+    for q in reversed(range(n_qubits)):
+        if q != target and kept | below[q] != slots:
+            kept |= differs[q]
+            controls.append(Control(qubit=q, negated=not (fire_value >> q) & 1))
+    return tuple(reversed(controls))
+
+
 def minimize_controls(
     fire_value: int,
     forbidden: Iterable[int],
@@ -54,22 +90,42 @@ def minimize_controls(
     forbidden. Deterministic; with nothing to distinguish, the result is
     the empty control set.
     """
-    # a (care, fire_value) pattern matches v iff v ^ fire_value has no care bit set
-    differs = np.fromiter(forbidden, dtype=np.int64) ^ fire_value
-    care = ((1 << n_qubits) - 1) & ~(1 << target)
-    for bit in (1 << q for q in reversed(range(n_qubits)) if q != target):
-        if not ((differs & (care ^ bit)) == 0).any():
-            care ^= bit
-    return tuple(Control(qubit=q, negated=not (fire_value >> q) & 1)
-                 for q in range(n_qubits) if (care >> q) & 1)
+    values = list(forbidden)
+    return _greedy_controls(
+        _planes(values, n_qubits), (1 << len(values)) - 1, fire_value, n_qubits, target
+    )
+
+
+# _LOW_HALVES[n][b]: the 2^n-bit set of indices whose bit b is 0. A pure
+# function of n, kept for each register width seen.
+_LOW_HALVES: dict[int, tuple[int, ...]] = {}
+
+
+def _low_halves(n_qubits: int) -> tuple[int, ...]:
+    if n_qubits not in _LOW_HALVES:
+        size = 1 << n_qubits
+        masks = []
+        for b in range(n_qubits):
+            mask, width = (1 << (1 << b)) - 1, 2 << b
+            while width < size:  # doubling: the pattern repeats every 2^(b+1) indices
+                mask |= mask << width
+                width <<= 1
+            masks.append(mask)
+        _LOW_HALVES[n_qubits] = tuple(masks)
+    return _LOW_HALVES[n_qubits]
 
 
 def _flip_path(current: int, target: int, blocked: frozenset[int], n_qubits: int) -> list[int]:
     """Shortest single-bit-flip path from current to target avoiding blocked values.
 
-    BFS with neighbors expanded in ascending bit order returns the
-    lexicographically least shortest path, so when the path that flips the
-    differing bits in ascending index order is unobstructed, it is the answer.
+    The result is the lexicographically least shortest path (by flipped
+    bit), the one a breadth-first search from current with neighbors in
+    ascending bit order returns. When the path that flips the differing
+    bits in ascending index order is unobstructed, it is the answer.
+    Otherwise the distance layers from target over the unblocked values
+    are grown as 2^n-bit sets until one borders current (which may itself
+    be blocked), and the path walks back down them, taking the lowest bit
+    that steps into the next layer.
     """
     path = [current]
     for b in range(n_qubits):
@@ -77,22 +133,24 @@ def _flip_path(current: int, target: int, blocked: frozenset[int], n_qubits: int
             path.append(path[-1] ^ (1 << b))
     if blocked.isdisjoint(path[1:]):
         return path
-    prev: dict[int, int] = {current: -1}
-    queue: deque[int] = deque([current])
-    while queue:
-        u = queue.popleft()
-        for b in range(n_qubits):
-            v = u ^ (1 << b)
-            if v in prev or v in blocked:
-                continue
-            prev[v] = u
-            if v == target:
-                path = [v]
-                while path[-1] != current:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            queue.append(v)
+    low = _low_halves(n_qubits)
+    marks = np.zeros(1 << n_qubits, dtype=bool)
+    marks[[v for v in blocked if 0 <= v < len(marks)]] = True  # values outside never lie on a path
+    free = ~int.from_bytes(np.packbits(marks, bitorder="little").tobytes(), "little")
+    layers = [1 << target & free]
+    reached = layers[0]
+    while layers[-1]:
+        edge = 0
+        for b, half in enumerate(low):
+            edge |= (layers[-1] & half) << (1 << b) | (layers[-1] >> (1 << b)) & half
+        if edge >> current & 1:
+            path = [current]
+            for layer in reversed(layers):
+                path.append(next(w for w in (path[-1] ^ (1 << b) for b in range(n_qubits))
+                                 if layer >> w & 1))
+            return path
+        layers.append(edge & free & ~reached)
+        reached |= layers[-1]
     raise ProtectedCollisionError(
         f"no path {current} -> {target} around {len(blocked)} protected values"
     )
@@ -113,20 +171,35 @@ def synth_level(
     single-bit twin, so a twin inside ``avoid`` is displaced and the
     caller's trajectory tracking picks it up. Returns [] when current
     already equals target (an automatic blank level).
+
+    The avoided values get one slot each in n bit planes, built once per
+    level; each step's control search runs on the planes, and a displaced
+    twin is tracked by flipping its slot's bit in the plane of the step.
     """
     protected = frozenset(protected)
     if current in protected or target in protected:
         raise ValueError("endpoints may not be protected")
-    avoid_set = set(protected if avoid is None else avoid)
-    gates: list[Gate] = []
     path = _flip_path(current, target, protected, n_qubits)
+    if len(path) == 1:
+        return []
+    slot = {v: i for i, v in enumerate(dict.fromkeys(protected if avoid is None else avoid))}
+    planes = _planes(list(slot), n_qubits)
+    live = (1 << len(slot)) - 1
+    gates: list[Gate] = []
     for u, v in zip(path, path[1:]):
         bit = (u ^ v).bit_length() - 1
-        soft = avoid_set - {u, v}
-        gates.append(Gate(target=bit, controls=minimize_controls(u, soft, n_qubits, bit)))
-        if v in avoid_set:
-            avoid_set.discard(v)
-            avoid_set.add(u)
+        slots = live
+        for w in (u, v):
+            if w in slot:
+                slots &= ~(1 << slot[w])
+        gates.append(Gate(target=bit, controls=_greedy_controls(planes, slots, u, n_qubits, bit)))
+        if v in slot:  # v's value moves to u: it takes v's slot unless u holds one already
+            i = slot.pop(v)
+            if u in slot:
+                live &= ~(1 << i)
+            else:
+                slot[u] = i
+                planes[bit] ^= 1 << i
     return gates
 
 

@@ -3,8 +3,10 @@
 None of these runs in the CLI or the pipeline. Each computes its result a
 second, independent way: a brute-force concatenated U^p, the dense
 2^(m+n) statevector backend, the scalar control image, the closed-form
-eigenphase amplitudes and eigenvectors, and the histogram CSV written one
-outcome at a time.
+eigenphase amplitudes and eigenvectors, the histogram CSV written one
+outcome at a time, the greedy control search over ``Control`` objects and
+as numpy reductions, the breadth-first flip-path search, the set-based
+synthesis level, and the QASM text printed from the lowered circuit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import deque
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,10 +26,12 @@ from truncshor.circuit import (
     VERSION_CONCATENATED,
     VERSION_PER_POWER,
     apply_to_basis,
+    lower_negative_controls,
     permutation_table,
 )
 from truncshor.modmath import FactoringInstance, Orbit
 from truncshor.shor import PhaseDistribution
+from truncshor.synth import ProtectedCollisionError
 
 
 class DimensionMismatchError(ValueError):
@@ -219,3 +224,109 @@ def histogram_csv_loop(
             ]
         )
     return buf.getvalue()
+
+
+def greedy_controls_oracle(fire_value, forbidden, n_qubits, target):
+    """The greedy search over Control objects, one scalar pattern test per value."""
+    controls = {
+        q: Control(qubit=q, negated=(fire_value >> q) & 1 == 0)
+        for q in range(n_qubits)
+        if q != target
+    }
+    for q in sorted(controls, reverse=True):
+        dropped = controls.pop(q)
+        probe = Gate(target=target, controls=tuple(controls.values()))
+        if any(probe.fires(v) for v in forbidden):
+            controls[q] = dropped
+    return tuple(sorted(controls.values()))
+
+
+
+def bfs_flip_path_oracle(current, target, blocked, n_qubits):
+    """The breadth-first search alone: neighbors in ascending bit order, None if no path."""
+    if current == target:
+        return [current]
+    prev = {current: -1}
+    queue = deque([current])
+    while queue:
+        u = queue.popleft()
+        for b in range(n_qubits):
+            v = u ^ (1 << b)
+            if v in prev or v in blocked:
+                continue
+            prev[v] = u
+            if v == target:
+                path = [v]
+                while path[-1] != current:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            queue.append(v)
+    return None
+
+
+def minimize_controls_numpy(
+    fire_value: int,
+    forbidden: Iterable[int],
+    n_qubits: int,
+    target: int,
+) -> tuple[Control, ...]:
+    """The greedy control search as numpy reductions over all forbidden values per drop."""
+    # a (care, fire_value) pattern matches v iff v ^ fire_value has no care bit set
+    differs = np.fromiter(forbidden, dtype=np.int64) ^ fire_value
+    care = ((1 << n_qubits) - 1) & ~(1 << target)
+    for bit in (1 << q for q in reversed(range(n_qubits)) if q != target):
+        if not ((differs & (care ^ bit)) == 0).any():
+            care ^= bit
+    return tuple(Control(qubit=q, negated=not (fire_value >> q) & 1)
+                 for q in range(n_qubits) if (care >> q) & 1)
+
+
+def synth_level_oracle(
+    current: int,
+    target: int,
+    protected: Iterable[int],
+    n_qubits: int,
+    avoid: Optional[Iterable[int]] = None,
+) -> list[Gate]:
+    """One synthesis level, tracking the avoided values in a set and searching controls per step."""
+    protected = frozenset(protected)
+    if current in protected or target in protected:
+        raise ValueError("endpoints may not be protected")
+    avoid_set = set(protected if avoid is None else avoid)
+    gates: list[Gate] = []
+    path = bfs_flip_path_oracle(current, target, protected, n_qubits)
+    if path is None:
+        raise ProtectedCollisionError(f"no path {current} -> {target}")
+    for u, v in zip(path, path[1:]):
+        bit = (u ^ v).bit_length() - 1
+        soft = avoid_set - {u, v}
+        gates.append(Gate(target=bit, controls=minimize_controls_numpy(u, soft, n_qubits, bit)))
+        if v in avoid_set:
+            avoid_set.discard(v)
+            avoid_set.add(u)
+    return gates
+
+
+def to_qasm3_lowered(circuit: LeveledCircuit) -> str:
+    """OpenQASM 3 text printed gate by gate from ``lower_negative_controls(circuit)``."""
+    lowered = lower_negative_controls(circuit)
+    lines = [
+        "OPENQASM 3.0;",
+        'include "stdgates.inc";',
+        f"qubit[{lowered.n_qubits}] q;",
+    ]
+    last = lowered.num_levels - 1
+    for i, level in enumerate(lowered.levels):
+        for gate in level:
+            if not gate.controls:
+                lines.append(f"x q[{gate.target}];")
+            else:
+                operands = ", ".join(
+                    f"q[{c.qubit}]" for c in gate.controls
+                ) + f", q[{gate.target}]"
+                k = len(gate.controls)
+                modifier = "ctrl @" if k == 1 else f"ctrl({k}) @"
+                lines.append(f"{modifier} x {operands};")
+        if i != last:
+            lines.append("barrier q;")
+    return "\n".join(lines) + "\n"

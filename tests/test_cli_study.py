@@ -28,3 +28,21 @@ def test_study_rejects_repeated_width(tmp_path, capsys, widths):
     assert code == 2
     assert err.startswith("error: --m lists a control width twice")
     assert not out_file.exists()
+
+
+def test_study_rejects_non_integer_width(tmp_path, capsys):
+    code, err, out_file = run_study(capsys, tmp_path, "5,x")
+    assert code == 2
+    assert err == "error: --m takes integers, got '5,x'\n"
+    assert not out_file.exists()
+
+
+def test_study_rejects_non_integer_truncation_level(tmp_path, capsys):
+    out_file = tmp_path / "study.csv"
+    code = main([
+        "study", "--N", "21", "--a", "2", "--m", "5", "--trnc", "0:x",
+        "--num-it", "2", "--seed", "1", "--out", str(out_file),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --trnc takes integers, got '0:x'\n"
+    assert not out_file.exists()

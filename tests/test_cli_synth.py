@@ -1,0 +1,36 @@
+"""synth: certificates come from the shared circuits, and --powers names itself when malformed."""
+
+import json
+
+import truncshor.circuit
+from truncshor import FactoringInstance, build_orbit
+from truncshor.cli import main
+
+
+def test_synth_certificates_build_one_table_per_distinct_circuit(tmp_path, capsys, monkeypatch):
+    builds = []
+    apply_gates = truncshor.circuit.apply_gates
+
+    def counting(gates, values):
+        builds.append(len(values))
+        return apply_gates(gates, values)
+
+    monkeypatch.setattr(truncshor.circuit, "apply_gates", counting)
+    code = main(["synth", "--N", "21", "--a", "2", "--powers", "1:16", "--out", str(tmp_path)])
+    assert code == 0
+    # r = 6: U^2 and U^8, U^4 and U^16 share a circuit, so 3 circuits for 5 powers
+    assert builds == [32] * 3
+    states = build_orbit(FactoringInstance(N=21, a=2, m=1)).states
+    for p in (1, 2, 4, 8, 16):
+        cert = {"domain": list(states), "image": [states[(i + p) % 6] for i in range(6)]}
+        text = (tmp_path / f"me_N21_a2_p{p}_trnc0_cert.json").read_text()
+        assert text == json.dumps(cert, indent=2) + "\n"
+    capsys.readouterr()
+
+
+def test_synth_rejects_non_integer_power(tmp_path, capsys):
+    out_dir = tmp_path / "circuits"
+    code = main(["synth", "--N", "21", "--a", "2", "--powers", "1:x", "--out", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --powers takes integers, got '1:x'\n"
+    assert not out_dir.exists()

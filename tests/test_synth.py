@@ -1,5 +1,4 @@
 import random
-from collections import deque
 
 import pytest
 
@@ -19,7 +18,12 @@ from truncshor import (
 from truncshor.synth import _flip_path
 
 from conftest import CASES
-from oracles import concatenate_power, restricted_equal
+from oracles import (
+    bfs_flip_path_oracle,
+    concatenate_power,
+    greedy_controls_oracle,
+    restricted_equal,
+)
 
 
 def apply_gates(gates, w):
@@ -50,21 +54,6 @@ def test_minimize_controls_never_matches_forbidden():
         probe = Gate(target=target, controls=controls)
         assert probe.fires(fire)
         assert not any(probe.fires(v) for v in forbidden)
-
-
-def greedy_controls_oracle(fire_value, forbidden, n_qubits, target):
-    """The greedy search over Control objects, one scalar pattern test per value."""
-    controls = {
-        q: Control(qubit=q, negated=(fire_value >> q) & 1 == 0)
-        for q in range(n_qubits)
-        if q != target
-    }
-    for q in sorted(controls, reverse=True):
-        dropped = controls.pop(q)
-        probe = Gate(target=target, controls=tuple(controls.values()))
-        if any(probe.fires(v) for v in forbidden):
-            controls[q] = dropped
-    return tuple(sorted(controls.values()))
 
 
 def test_minimize_controls_matches_greedy_oracle():
@@ -128,28 +117,6 @@ def test_protected_collision_when_no_path():
     # both 2-step routes from 0 to 3 pass through a protected value
     with pytest.raises(ProtectedCollisionError):
         synth_level(0, 3, {1, 2}, 2)
-
-
-def bfs_flip_path_oracle(current, target, blocked, n_qubits):
-    """The breadth-first search alone: neighbors in ascending bit order, None if no path."""
-    if current == target:
-        return [current]
-    prev = {current: -1}
-    queue = deque([current])
-    while queue:
-        u = queue.popleft()
-        for b in range(n_qubits):
-            v = u ^ (1 << b)
-            if v in prev or v in blocked:
-                continue
-            prev[v] = u
-            if v == target:
-                path = [v]
-                while path[-1] != current:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            queue.append(v)
-    return None
 
 
 def test_flip_path_matches_bfs_oracle():
