@@ -5,8 +5,10 @@ multi-controlled-NOT gates. Controls carry polarity: a negated control
 fires on 0 instead of 1 and stands for the usual X-conjugation, which
 ``lower_negative_controls`` expands when a polarity-free circuit is needed.
 
-``Gate.apply`` is the reference semantics; ``apply_gates`` evaluates the same
-patterns as (care, fire) bit masks over arrays, for the table and synthesis.
+``Gate.apply`` is the reference semantics; ``apply_gates`` evaluates gates
+bit-sliced: bit i of plane q is bit q of state i, and a gate is an AND per
+control and an XOR on its target's plane. The table, certificates and the
+synthesis frontier all run that one kernel.
 
 ``to_json_dict`` is the JSON schema. ``to_json`` writes the same text
 ``json.dumps`` makes of it, but directly, from per-control strings.
@@ -53,7 +55,8 @@ class Gate:
             raise ValueError(f"duplicate control qubits in {qubits}")
         if self.target in qubits:
             raise ValueError(f"target {self.target} is also a control")
-        object.__setattr__(self, "controls", tuple(sorted(self.controls)))
+        # the qubits are distinct, so this is the order of Control's own comparison
+        object.__setattr__(self, "controls", tuple(sorted(self.controls, key=lambda c: c.qubit)))
 
     def fires(self, w: int) -> bool:
         return all(((w >> c.qubit) & 1 == 0) == c.negated for c in self.controls)
@@ -113,8 +116,14 @@ class LeveledCircuit:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Compiled form, built on first use: ``table[w]`` is the image of basis state w."""
-        out = apply_gates(self.gates(), np.arange(1 << self.n_qubits, dtype=np.int64))
+        """Compiled form, built on first use: ``table[w]`` is the image of basis state w.
+
+        The planes of every state are the complements of the ``_low_halves`` masks.
+        """
+        size = 1 << self.n_qubits
+        full = (1 << size) - 1
+        out = _evaluate(self.gates(), np.arange(size, dtype=np.int64),
+                        [full ^ low for low in _low_halves(self.n_qubits)])
         out.flags.writeable = False
         return out
 
@@ -130,12 +139,74 @@ class PermutationTable:
         return {"domain": list(self.domain), "image": list(self.image)}
 
 
-def apply_gates(gates: Iterable[Gate], values: np.ndarray) -> np.ndarray:
-    """Apply the gates in order to every basis state of an int64 array, in place; returns it."""
+# _LOW_HALVES[n][b]: the 2^n-bit set of indices whose bit b is 0. A pure
+# function of n, kept for each register width seen.
+_LOW_HALVES: dict[int, tuple[int, ...]] = {}
+
+
+def _low_halves(n_qubits: int) -> tuple[int, ...]:
+    if n_qubits not in _LOW_HALVES:
+        size = 1 << n_qubits
+        masks = []
+        for b in range(n_qubits):
+            mask, width = (1 << (1 << b)) - 1, 2 << b
+            while width < size:  # doubling: the pattern repeats every 2^(b+1) indices
+                mask |= mask << width
+                width <<= 1
+            masks.append(mask)
+        _LOW_HALVES[n_qubits] = tuple(masks)
+    return _LOW_HALVES[n_qubits]
+
+
+def _planes(values: Iterable[int] | np.ndarray, n_qubits: int) -> list[int]:
+    """Bit planes over value slots: bit i of ``planes[q]`` is bit q of ``values[i]``."""
+    values = np.ascontiguousarray(values, dtype="<i8")
+    bits = np.unpackbits(values.view(np.uint8).reshape(-1, 8), axis=1,
+                         count=n_qubits, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(bits.T, axis=1, bitorder="little")]
+
+
+def _apply_planes(gates: Iterable[Gate], planes: list[int], full: int) -> int:
+    """The gate kernel, in place on bit planes; returns the slots (bits of ``full``) fired on."""
+    fired = 0
     for gate in gates:
-        care, fire = gate.pattern
-        values[((values ^ fire) & care) == 0] ^= 1 << gate.target
+        fires = full
+        for c in gate.controls:
+            fires &= ~planes[c.qubit] if c.negated else planes[c.qubit]
+        planes[gate.target] ^= fires
+        fired |= fires
+    return fired
+
+
+def _evaluate(gates: Iterable[Gate], values: np.ndarray, planes: list[int]) -> np.ndarray:
+    """Run the gates over ``planes``, the planes of ``values``, and flip the changed bits in values.
+
+    One plane at a time, so the extra memory is an int64 and a uint8 array the size of values.
+    """
+    count = len(values)
+    start = list(planes)
+    _apply_planes(gates, planes, (1 << count) - 1)
+    shifted = np.empty(count, dtype=np.int64)
+    for q, (before, after) in enumerate(zip(start, planes)):
+        if delta := before ^ after:
+            bits = np.frombuffer(delta.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
+            np.left_shift(np.unpackbits(bits, count=count, bitorder="little"), q,
+                          out=shifted, dtype=np.int64)
+            values ^= shifted
     return values
+
+
+def apply_gates(gates: Iterable[Gate], values: np.ndarray) -> np.ndarray:
+    """Apply the gates in order to every basis state of an int64 array, in place; returns it.
+
+    Bits above every gate's qubits pass through unchanged.
+    """
+    gates = tuple(gates)
+    # a gate's controls are sorted by qubit, so the last one is its highest
+    width = 1 + max((max(g.target, g.controls[-1].qubit) if g.controls else g.target
+                     for g in gates), default=-1)
+    return _evaluate(gates, values, _planes(values, width))
 
 
 def apply_to_basis(circuit: LeveledCircuit, w: int) -> int:
@@ -147,19 +218,24 @@ def apply_to_basis(circuit: LeveledCircuit, w: int) -> int:
     return w
 
 
-def apply_to_basis_array(circuit: LeveledCircuit, values: np.ndarray) -> np.ndarray:
-    """apply_to_basis over an integer array of basis states, read from the table."""
-    values = np.asarray(values, dtype=np.int64)
+def _basis_states(circuit: LeveledCircuit, values: Iterable[int] | np.ndarray) -> np.ndarray:
+    """The values as a new int64 array, checked to be basis states of the circuit."""
+    values = np.array(values, dtype=np.int64)
     if values.size and not (0 <= values.min() and values.max() < 1 << circuit.n_qubits):
         raise ValueError(f"basis states outside {circuit.n_qubits} qubits")
-    return circuit.table[values]
+    return values
+
+
+def apply_to_basis_array(circuit: LeveledCircuit, values: np.ndarray) -> np.ndarray:
+    """apply_to_basis over an integer array of basis states, read from the table."""
+    return circuit.table[_basis_states(circuit, values)]
 
 
 def permutation_table(circuit: LeveledCircuit, domain: Iterable[int]) -> PermutationTable:
+    """The circuit's images of ``domain``, evaluated over the domain alone (no table is built)."""
     dom = tuple(domain)
-    return PermutationTable(
-        domain=dom, image=tuple(apply_to_basis_array(circuit, dom).tolist())
-    )
+    image = apply_gates(circuit.gates(), _basis_states(circuit, dom))
+    return PermutationTable(domain=dom, image=tuple(image.tolist()))
 
 
 def lower_negative_controls(circuit: LeveledCircuit) -> LeveledCircuit:

@@ -33,18 +33,24 @@ EXIT_NO_FACTORS = 3
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Write a unique temp file beside path, give it a plain create's mode, rename it."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    """Write a unique temp file beside path, give it a plain create's mode, rename it.
+
+    An OSError names path, not the temp file, whose name is random.
+    """
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from e
 
 
 def _emit(args: argparse.Namespace, event: dict, text: str) -> None:
@@ -139,6 +145,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     circuits = synth_powers(orbit, powers, args.trnc_lv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    certs: dict[int, str] = {}  # by circuit identity: congruent powers share one circuit
     for p, shared in zip(powers, circuits):
         circ = dataclasses.replace(shared, power=p)
         stem = f"me_N{args.N}_a{args.a}_p{p}_trnc{args.trnc_lv}"
@@ -148,9 +155,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         else:
             path = out_dir / f"{stem}.qasm"
             _write_atomic(path, qasm.to_qasm3(circ))
-        cert = circuit_mod.permutation_table(shared, orbit.states)  # congruent powers share its table
+        if id(shared) not in certs:
+            cert = circuit_mod.permutation_table(shared, orbit.states)
+            certs[id(shared)] = json.dumps(cert.to_json_dict(), indent=2) + "\n"
         cert_path = out_dir / f"{stem}_cert.json"
-        _write_atomic(cert_path, json.dumps(cert.to_json_dict(), indent=2) + "\n")
+        _write_atomic(cert_path, certs[id(shared)])
         _emit(
             args,
             {"event": "synth", "power": p, "file": str(path), "gates": circ.gate_count()},
@@ -212,6 +221,11 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
+    out_path = Path(args.out)
+    json_path = out_path.with_suffix(".json")
+    if json_path == out_path:
+        raise ValueError(f"--out {args.out} ends in .json, so the CSV and its .json mirror "
+                         "would be one file")
     m_values = _parse_widths(args.m)
     instance = FactoringInstance(N=args.N, a=args.a, m=max(m_values))
     trnc_levels = _parse_range(args.trnc, "--trnc")
@@ -224,9 +238,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         max_tries=args.max_tries,
     )
     results = [cells[(m, t)].result for m in m_values for t in trnc_levels]
-    out_path = Path(args.out)
     _write_atomic(out_path, study_csv(results))
-    json_path = out_path.with_suffix(".json")
     _write_atomic(json_path, study_json(results) + "\n")
     for res in results:
         m, t = res.instance.m, res.trnc_lv

@@ -19,7 +19,10 @@ Both searches work on Python integers used as bit sets. Each level gives
 every avoided value a slot in n bit planes (bit i of plane q is bit q of
 the value in slot i), so a step's greedy control search is a few ORs
 over the planes. A blocked direct path is rerouted through distance
-layers grown from the target as 2^n-bit sets of basis values.
+layers grown from the target as 2^n-bit sets of basis values. The
+trajectories are kept as bit planes across levels too: each level runs
+the circuit module's gate kernel on them, and only the trajectories whose
+slot bits changed are read back.
 
 Truncation then simply empties the last ``trnc_lv`` levels.
 """
@@ -36,7 +39,9 @@ from .circuit import (
     Gate,
     LeveledCircuit,
     VERSION_TRUNCATED,
-    apply_gates,
+    _apply_planes,
+    _low_halves,
+    _planes,
 )
 from .modmath import CycleDecomposition, Orbit, cycle_decomposition
 
@@ -45,11 +50,9 @@ class ProtectedCollisionError(RuntimeError):
     """No bit-flip path around the protected set; valid input can reach it (N=19, a=2, p=1)."""
 
 
-def _planes(values: list[int], n_qubits: int) -> list[int]:
-    """Bit planes over value slots: bit i of ``planes[q]`` is bit q of ``values[i]``."""
-    bits = np.array(values, dtype=np.int64) >> np.arange(n_qubits)[:, None] & 1
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(bits, axis=1, bitorder="little")]
+# _CONTROLS[n][q][negated]: the 2n controls of an n-qubit register, made once;
+# they are immutable, so every gate shares them.
+_CONTROLS: dict[int, tuple[tuple[Control, Control], ...]] = {}
 
 
 def _greedy_controls(
@@ -68,11 +71,13 @@ def _greedy_controls(
     below = [0] * n_qubits  # below[q]: union of differs over the bits under q
     for q in range(1, n_qubits):
         below[q] = below[q - 1] | differs[q - 1]
-    kept, controls = 0, []
+    if n_qubits not in _CONTROLS:
+        _CONTROLS[n_qubits] = tuple((Control(q), Control(q, negated=True)) for q in range(n_qubits))
+    kept, controls, interned = 0, [], _CONTROLS[n_qubits]
     for q in reversed(range(n_qubits)):
         if q != target and kept | below[q] != slots:
             kept |= differs[q]
-            controls.append(Control(qubit=q, negated=not (fire_value >> q) & 1))
+            controls.append(interned[q][not fire_value >> q & 1])
     return tuple(reversed(controls))
 
 
@@ -94,25 +99,6 @@ def minimize_controls(
     return _greedy_controls(
         _planes(values, n_qubits), (1 << len(values)) - 1, fire_value, n_qubits, target
     )
-
-
-# _LOW_HALVES[n][b]: the 2^n-bit set of indices whose bit b is 0. A pure
-# function of n, kept for each register width seen.
-_LOW_HALVES: dict[int, tuple[int, ...]] = {}
-
-
-def _low_halves(n_qubits: int) -> tuple[int, ...]:
-    if n_qubits not in _LOW_HALVES:
-        size = 1 << n_qubits
-        masks = []
-        for b in range(n_qubits):
-            mask, width = (1 << (1 << b)) - 1, 2 << b
-            while width < size:  # doubling: the pattern repeats every 2^(b+1) indices
-                mask |= mask << width
-                width <<= 1
-            masks.append(mask)
-        _LOW_HALVES[n_qubits] = tuple(masks)
-    return _LOW_HALVES[n_qubits]
 
 
 def _flip_path(current: int, target: int, blocked: frozenset[int], n_qubits: int) -> list[int]:
@@ -233,14 +219,19 @@ def synth_me_operator(orbit: Orbit, p: int, trnc_lv: int = 0) -> LeveledCircuit:
     n = orbit.instance.n
     decomp = cycle_decomposition(orbit, p)
     position = {s: i for i, s in enumerate(orbit.states)}
-    frontier = np.array(orbit.states, dtype=np.int64)  # trajectories of the orbit states
+    frontier = list(orbit.states)  # trajectories of the orbit states, also kept as planes
+    planes = _planes(frontier, n)
+    slots = (1 << len(frontier)) - 1
     protected: set[int] = set()
     levels: list[tuple[Gate, ...]] = []
     for src, tgt in transition_order(decomp):
-        cur = int(frontier[position[src]])
-        gates = synth_level(cur, tgt, protected, n, avoid=frontier.tolist())
+        gates = synth_level(frontier[position[src]], tgt, protected, n, avoid=frontier)
         levels.append(tuple(gates))
-        apply_gates(gates, frontier)
+        moved = _apply_planes(gates, planes, slots)
+        while moved:  # re-read only the trajectories the level may have moved
+            i = (moved & -moved).bit_length() - 1
+            frontier[i] = sum((plane >> i & 1) << q for q, plane in enumerate(planes))
+            moved &= moved - 1
         protected.add(tgt)
     full = LeveledCircuit(n_qubits=n, power=p, levels=tuple(levels))
     return truncate(full, trnc_lv)

@@ -347,3 +347,13 @@ def test_cli_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory in the way"])
+def test_write_error_names_the_requested_path(tmp_path, capsys, where):
+    out_file = tmp_path / "missing" / "h.csv" if where == "missing directory" else tmp_path / "h.csv"
+    if where == "directory in the way":
+        out_file.mkdir()
+    code, _, err = run_cli(capsys, "run", "--N", "21", "--a", "2", "--m", "5", "--out", str(out_file))
+    assert code == 2 and err.startswith("error: ")
+    assert repr(str(out_file)) in err and ".tmp" not in err

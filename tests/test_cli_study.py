@@ -46,3 +46,15 @@ def test_study_rejects_non_integer_truncation_level(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: --trnc takes integers, got '0:x'\n"
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("name", ["s.json", "s.csv.json"])
+def test_study_rejects_out_that_is_its_own_json_mirror(tmp_path, capsys, synth_calls, name):
+    out_file = tmp_path / name
+    code = main([
+        "study", "--N", "21", "--a", "2", "--m", "5", "--trnc", "0:1",
+        "--num-it", "2", "--seed", "1", "--out", str(out_file),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {out_file} ends in .json")
+    assert synth_calls == [] and list(tmp_path.iterdir()) == []

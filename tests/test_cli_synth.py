@@ -19,7 +19,7 @@ def test_synth_certificates_build_one_table_per_distinct_circuit(tmp_path, capsy
     code = main(["synth", "--N", "21", "--a", "2", "--powers", "1:16", "--out", str(tmp_path)])
     assert code == 0
     # r = 6: U^2 and U^8, U^4 and U^16 share a circuit, so 3 circuits for 5 powers
-    assert builds == [32] * 3
+    assert builds == [6] * 3
     states = build_orbit(FactoringInstance(N=21, a=2, m=1)).states
     for p in (1, 2, 4, 8, 16):
         cert = {"domain": list(states), "image": [states[(i + p) % 6] for i in range(6)]}
