@@ -55,6 +55,8 @@ class Gate:
             raise ValueError(f"duplicate control qubits in {qubits}")
         if self.target in qubits:
             raise ValueError(f"target {self.target} is also a control")
+        if self.target < 0 or min(qubits, default=0) < 0:
+            raise ValueError(f"negative qubit in gate on {self.target} with controls {qubits}")
         # the qubits are distinct, so this is the order of Control's own comparison
         object.__setattr__(self, "controls", tuple(sorted(self.controls, key=lambda c: c.qubit)))
 
@@ -63,13 +65,6 @@ class Gate:
 
     def apply(self, w: int) -> int:
         return w ^ (1 << self.target) if self.fires(w) else w
-
-    @property
-    def pattern(self) -> tuple[int, int]:
-        """(care, fire) bit masks: the gate fires on w iff ``((w ^ fire) & care) == 0``."""
-        care = sum(1 << c.qubit for c in self.controls)
-        fire = sum(1 << c.qubit for c in self.controls if not c.negated)
-        return care, fire
 
 
 @dataclass(frozen=True)
@@ -91,11 +86,8 @@ class LeveledCircuit:
             raise ValueError(f"unknown version {self.version!r}")
         if not 0 <= self.trnc_lv <= len(self.levels):
             raise ValueError(f"trnc_lv={self.trnc_lv} out of range")
-        for level in self.levels:
-            for gate in level:
-                qubits = [gate.target] + [c.qubit for c in gate.controls]
-                if any(q < 0 or q >= self.n_qubits for q in qubits):
-                    raise ValueError(f"gate {gate} outside {self.n_qubits} qubits")
+        if (width := _width(self.gates())) > self.n_qubits:
+            raise ValueError(f"a gate on qubit {width - 1} is outside {self.n_qubits} qubits")
         for level in self.levels[len(self.levels) - self.trnc_lv :]:
             if level:
                 raise ValueError("truncated levels must be empty")
@@ -137,6 +129,13 @@ class PermutationTable:
 
     def to_json_dict(self) -> dict:
         return {"domain": list(self.domain), "image": list(self.image)}
+
+
+def _width(gates: Iterable[Gate]) -> int:
+    """The qubits the gates span: one more than the highest target or control."""
+    # a gate's controls are sorted by qubit, so the last one is its highest
+    return 1 + max((max(g.target, g.controls[-1].qubit) if g.controls else g.target
+                    for g in gates), default=-1)
 
 
 # _LOW_HALVES[n][b]: the 2^n-bit set of indices whose bit b is 0. A pure
@@ -203,10 +202,7 @@ def apply_gates(gates: Iterable[Gate], values: np.ndarray) -> np.ndarray:
     Bits above every gate's qubits pass through unchanged.
     """
     gates = tuple(gates)
-    # a gate's controls are sorted by qubit, so the last one is its highest
-    width = 1 + max((max(g.target, g.controls[-1].qubit) if g.controls else g.target
-                     for g in gates), default=-1)
-    return _evaluate(gates, values, _planes(values, width))
+    return _evaluate(gates, values, _planes(values, _width(gates)))
 
 
 def apply_to_basis(circuit: LeveledCircuit, w: int) -> int:

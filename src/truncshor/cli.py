@@ -80,7 +80,7 @@ def _parse_range(spec: str, option: str = "range") -> list[int]:
 def _parse_powers(spec: str) -> list[int]:
     """Powers of two inside an inclusive 'lo:hi' range, or one explicit power."""
     values = _parse_range(spec, "--powers")
-    if len(values) == 1:
+    if ":" not in spec:
         p = values[0]
         if p < 1 or p & (p - 1):
             raise ValueError(f"power must be a positive power of two, got {p}")
@@ -122,20 +122,13 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     except NotCoprimeError as e:
         return _report_common_factor(args, e)
     orbit = build_orbit(instance)
-    closed = list(orbit.states) + [1]
-    if args.quiet:
-        print(
-            json.dumps(
-                {"event": "orbit", "N": args.N, "a": args.a, "r": orbit.r, "states": list(orbit.states)}
-            )
-        )
-        return EXIT_OK
-    print(f"N = {args.N}, a = {args.a}, n = {instance.n}")
-    print(f"r = {orbit.r}")
-    print(f"closed sequence: {closed}")
-    print("x    f(x)")
-    for x, state in enumerate(orbit.states):
-        print(f"{x:<4d} {state}")
+    _emit(
+        args,
+        {"event": "orbit", "N": args.N, "a": args.a, "r": orbit.r, "states": list(orbit.states)},
+        "\n".join([f"N = {args.N}, a = {args.a}, n = {instance.n}", f"r = {orbit.r}",
+                   f"closed sequence: {list(orbit.states) + [1]}", "x    f(x)"]
+                  + [f"{x:<4d} {state}" for x, state in enumerate(orbit.states)]),
+    )
     return EXIT_OK
 
 
@@ -180,11 +173,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     text = histogram_csv(instance, dist, sampled)
     if args.out:
         _write_atomic(Path(args.out), text)
-        _emit(
-            args,
-            {"event": "run", "out": args.out, "rows": text.count("\n") - 1},
-            f"histogram ({text.count(chr(10)) - 1} rows) -> {args.out}",
-        )
+        rows = text.count("\n") - 1
+        _emit(args, {"event": "run", "out": args.out, "rows": rows},
+              f"histogram ({rows} rows) -> {args.out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -267,25 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthesize truncated modular-exponentiation operators and run Shor factoring studies.",
     )
     parser.add_argument("--quiet", action="store_true", help="emit JSON-lines records instead of prose")
-    # accepted on either side of the subcommand; SUPPRESS keeps the
+    common = argparse.ArgumentParser(add_help=False)  # what every subcommand takes
+    # --quiet is accepted on either side of the subcommand; SUPPRESS keeps the
     # subparser from clobbering a --quiet given before it
-    common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--quiet", action="store_true", default=argparse.SUPPRESS,
         help="emit JSON-lines records instead of prose",
     )
+    common.add_argument("--N", type=int, required=True)
+    common.add_argument("--a", type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_orbit = sub.add_parser(
         "orbit", parents=[common], help="print f(x) = a^x mod N and its period"
     )
-    p_orbit.add_argument("--N", type=int, required=True)
-    p_orbit.add_argument("--a", type=int, required=True)
     p_orbit.set_defaults(func=cmd_orbit)
 
     p_synth = sub.add_parser("synth", parents=[common], help="synthesize U^p circuits to files")
-    p_synth.add_argument("--N", type=int, required=True)
-    p_synth.add_argument("--a", type=int, required=True)
     p_synth.add_argument("--powers", required=True, help="power of two or inclusive range lo:hi")
     p_synth.add_argument("--trnc-lv", type=int, default=0)
     p_synth.add_argument("--format", choices=("json", "qasm3"), default="json")
@@ -293,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_run = sub.add_parser("run", parents=[common], help="exact (and optionally sampled) phase histogram CSV")
-    p_run.add_argument("--N", type=int, required=True)
-    p_run.add_argument("--a", type=int, required=True)
     p_run.add_argument("--m", type=int, required=True)
     p_run.add_argument("--trnc-lv", type=int, default=0)
     p_run.add_argument("--shots", type=int, default=0)
@@ -303,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_factor = sub.add_parser("factor", parents=[common], help="draw measurements until a factor pair appears")
-    p_factor.add_argument("--N", type=int, required=True)
-    p_factor.add_argument("--a", type=int, required=True)
     p_factor.add_argument("--m", type=int, required=True)
     p_factor.add_argument("--trnc-lv", type=int, default=0)
     p_factor.add_argument("--seed", type=int, required=True)
@@ -312,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.set_defaults(func=cmd_factor)
 
     p_study = sub.add_parser("study", parents=[common], help="tries-vs-truncation sweep to CSV/JSON")
-    p_study.add_argument("--N", type=int, required=True)
-    p_study.add_argument("--a", type=int, required=True)
     p_study.add_argument("--m", required=True, help="comma list of control widths, e.g. 8,10")
     p_study.add_argument("--trnc", required=True, help="inclusive truncation range lo:hi")
     p_study.add_argument("--num-it", type=int, default=150)

@@ -177,25 +177,25 @@ def resolution_study(
 
     The powers are synthesized once, at the largest m: the circuit for
     2**q does not depend on m, and truncation only empties trailing levels.
-    Each distinct circuit is truncated once per level.
+    Each distinct circuit is truncated once per level. Every width is checked
+    before anything is synthesized, every level before any cell is computed.
     Iteration i at level t uses seed derive_seed(base_seed, t, i).
     """
     if num_it < 1:
         raise ValueError(f"num_it must be >= 1, got {num_it}")
-    m_values = list(m_values)
+    instances = [replace(instance, m=m) for m in m_values]
     trnc_levels = list(trnc_range)
     orbit = build_orbit(instance)
-    full = synth_all_powers(orbit, max(m_values, default=0))
+    full = synth_all_powers(orbit, max((inst.m for inst in instances), default=0))
     distinct = {id(c): c for c in full}
     truncated = {}
     for t in trnc_levels:
         level = {key: truncate(c, t) for key, c in distinct.items()}
         truncated[t] = [level[id(c)] for c in full]
     out: dict[tuple[int, int], ResolutionCell] = {}
-    for m in m_values:
-        inst_m = replace(instance, m=m)
+    for inst_m in instances:
         for trnc_lv in trnc_levels:
-            circuits = truncated[trnc_lv][:m]
+            circuits = truncated[trnc_lv][:inst_m.m]
             dist = exact_distribution(inst_m, circuits)
             outcomes = [
                 tries_until_factor(
@@ -214,7 +214,7 @@ def resolution_study(
                 tries=tuple(o.tries for o in outcomes),
                 capped=tuple(o.capped for o in outcomes),
             )
-            out[(m, trnc_lv)] = ResolutionCell(
+            out[(inst_m.m, trnc_lv)] = ResolutionCell(
                 result=result, peaks=peak_presence(inst_m, orbit, dist)
             )
     return out

@@ -95,7 +95,7 @@ class FactoringInstance:
         """
         r = self.r
         mask = np.zeros(self.M, dtype=bool)
-        if r % 2 == 0 and mod_pow(self.a, r // 2, self.N) != self.N - 1:
+        if check_period(self, r).accepted:
             l = np.arange(1, self.M)  # l = 0 has the single denominator 1
             u, v, q, q_prev = np.full_like(l, self.M), l, np.ones_like(l), np.zeros_like(l)
             while l.size:

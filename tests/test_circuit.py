@@ -51,6 +51,17 @@ def test_gate_validation():
         Gate(target=1, controls=(Control(0), Control(0, negated=True)))
 
 
+@pytest.mark.parametrize("target, controls", [
+    (-1, ()),
+    (-1, (Control(0),)),
+    (0, (Control(-1),)),
+    (2, (Control(-3, negated=True), Control(1))),
+])
+def test_gate_rejects_negative_qubits(target, controls):
+    with pytest.raises(ValueError, match="negative qubit"):
+        Gate(target=target, controls=controls)
+
+
 def test_gate_controls_sorted():
     g = Gate(target=0, controls=(Control(3), Control(1, negated=True)))
     assert [c.qubit for c in g.controls] == [1, 3]
@@ -136,12 +147,6 @@ def test_apply_to_basis_array_matches_scalar():
         values = np.arange(1 << n)
         vec = apply_to_basis_array(c, values)
         assert [apply_to_basis(c, int(w)) for w in values] == list(vec)
-
-
-def test_gate_pattern_masks():
-    gate = Gate(target=0, controls=(Control(1), Control(3, negated=True), Control(4)))
-    assert gate.pattern == (0b11010, 0b10010)
-    assert Gate(target=2).pattern == (0, 0)
 
 
 def test_apply_gates_matches_gate_apply_in_place():
@@ -282,3 +287,17 @@ def test_json_rejects_unknown_gate():
                 "levels": [[{"gate": "h", "target": 0}]],
             }
         )
+
+
+@pytest.mark.parametrize("gate", [
+    Gate(target=3),
+    Gate(target=0, controls=(Control(3),)),
+    Gate(target=1, controls=(Control(0, negated=True), Control(3, negated=True))),
+])
+def test_gate_on_qubit_n_is_rejected(gate):
+    with pytest.raises(ValueError, match="qubit 3 is outside 3 qubits"):
+        LeveledCircuit(n_qubits=3, power=1, levels=((Gate(target=0),), (gate,)))
+    data = to_json_dict(LeveledCircuit(n_qubits=4, power=1, levels=((gate,),)))
+    data["n_qubits"] = 3
+    with pytest.raises(ValueError, match="qubit 3 is outside 3 qubits"):
+        from_json_dict(data)

@@ -357,3 +357,36 @@ def test_write_error_names_the_requested_path(tmp_path, capsys, where):
     code, _, err = run_cli(capsys, "run", "--N", "21", "--a", "2", "--m", "5", "--out", str(out_file))
     assert code == 2 and err.startswith("error: ")
     assert repr(str(out_file)) in err and ".tmp" not in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("3:3", "error: no powers of two in range '3:3'\n"),
+    ("3", "error: power must be a positive power of two, got 3\n"),
+], ids=["range", "single"])
+def test_synth_powers_errors_name_what_was_given(tmp_path, capsys, spec, message):
+    out_dir = tmp_path / "circuits"
+    code, out, err = run_cli(
+        capsys, "synth", "--N", "21", "--a", "2", "--powers", spec, "--out", str(out_dir)
+    )
+    assert (code, out, err) == (2, "", message)
+    assert not out_dir.exists()
+
+
+def test_synth_single_power_range(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "--quiet", "synth", "--N", "21", "--a", "2", "--powers", "4:4", "--out", str(tmp_path)
+    )
+    assert code == 0
+    assert [json.loads(line)["power"] for line in out.splitlines()] == [4]
+
+
+CLI_STDOUT = json.loads((Path(__file__).parent / "cli_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("argv, stdout", [(c["argv"], c["stdout"]) for c in CLI_STDOUT],
+                         ids=[" ".join(c["argv"]) for c in CLI_STDOUT])
+def test_stdout_bytes_are_frozen(tmp_path, monkeypatch, capsys, argv, stdout):
+    # recorded from the CLI before its orbit and run output went through _emit
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, stdout, "")

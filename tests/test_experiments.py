@@ -247,6 +247,15 @@ def test_resolution_study_checks_levels_before_any_cell(monkeypatch):
     assert calls == []
 
 
+def test_resolution_study_checks_widths_before_any_synthesis(monkeypatch):
+    calls = []
+    monkeypatch.setattr(truncshor.experiments, "synth_all_powers", lambda *a: calls.append(a))
+    monkeypatch.setattr(truncshor.experiments, "exact_distribution", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="m=0"):
+        resolution_study(FactoringInstance(N=21, a=2, m=5), [5, 0], [0], num_it=1, base_seed=0)
+    assert calls == []
+
+
 def test_study_rows_compute_period_once_per_instance(monkeypatch):
     m_values = [4, 5]
     cells = resolution_study(FactoringInstance(N=21, a=2, m=5), m_values, range(4), 3, 7)
