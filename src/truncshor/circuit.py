@@ -7,8 +7,9 @@ fires on 0 instead of 1 and stands for the usual X-conjugation, which
 
 ``Gate.apply`` is the reference semantics; ``apply_gates`` evaluates gates
 bit-sliced: bit i of plane q is bit q of state i, and a gate is an AND per
-control and an XOR on its target's plane. The table, certificates and the
-synthesis frontier all run that one kernel.
+control and an XOR on its target's plane. It is the one compiled form: work
+images, certificates and the synthesis frontier all run it, each on the
+states it needs alone, never on all 2^n.
 
 ``to_json_dict`` is the JSON schema. ``to_json`` writes the same text
 ``json.dumps`` makes of it, but directly, from per-control strings.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -86,7 +87,7 @@ class LeveledCircuit:
             raise ValueError(f"unknown version {self.version!r}")
         if not 0 <= self.trnc_lv <= len(self.levels):
             raise ValueError(f"trnc_lv={self.trnc_lv} out of range")
-        if (width := _width(self.gates())) > self.n_qubits:
+        if (width := _width(tuple(self.gates()))) > self.n_qubits:
             raise ValueError(f"a gate on qubit {width - 1} is outside {self.n_qubits} qubits")
         for level in self.levels[len(self.levels) - self.trnc_lv :]:
             if level:
@@ -100,24 +101,10 @@ class LeveledCircuit:
         return len(self.levels)
 
     def gates(self) -> Iterator[Gate]:
-        for level in self.levels:
-            yield from level
+        return chain.from_iterable(self.levels)
 
     def gate_count(self) -> int:
         return sum(len(level) for level in self.levels)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """Compiled form, built on first use: ``table[w]`` is the image of basis state w.
-
-        The planes of every state are the complements of the ``_low_halves`` masks.
-        """
-        size = 1 << self.n_qubits
-        full = (1 << size) - 1
-        out = _evaluate(self.gates(), np.arange(size, dtype=np.int64),
-                        [full ^ low for low in _low_halves(self.n_qubits)])
-        out.flags.writeable = False
-        return out
 
 
 @dataclass(frozen=True)
@@ -131,30 +118,11 @@ class PermutationTable:
         return {"domain": list(self.domain), "image": list(self.image)}
 
 
-def _width(gates: Iterable[Gate]) -> int:
+def _width(gates: tuple[Gate, ...]) -> int:
     """The qubits the gates span: one more than the highest target or control."""
     # a gate's controls are sorted by qubit, so the last one is its highest
-    return 1 + max((max(g.target, g.controls[-1].qubit) if g.controls else g.target
-                    for g in gates), default=-1)
-
-
-# _LOW_HALVES[n][b]: the 2^n-bit set of indices whose bit b is 0. A pure
-# function of n, kept for each register width seen.
-_LOW_HALVES: dict[int, tuple[int, ...]] = {}
-
-
-def _low_halves(n_qubits: int) -> tuple[int, ...]:
-    if n_qubits not in _LOW_HALVES:
-        size = 1 << n_qubits
-        masks = []
-        for b in range(n_qubits):
-            mask, width = (1 << (1 << b)) - 1, 2 << b
-            while width < size:  # doubling: the pattern repeats every 2^(b+1) indices
-                mask |= mask << width
-                width <<= 1
-            masks.append(mask)
-        _LOW_HALVES[n_qubits] = tuple(masks)
-    return _LOW_HALVES[n_qubits]
+    return 1 + max([g.target for g in gates] + [g.controls[-1].qubit for g in gates if g.controls],
+                   default=-1)
 
 
 def _planes(values: Iterable[int] | np.ndarray, n_qubits: int) -> list[int]:
@@ -173,36 +141,34 @@ def _apply_planes(gates: Iterable[Gate], planes: list[int], full: int) -> int:
         fires = full
         for c in gate.controls:
             fires &= ~planes[c.qubit] if c.negated else planes[c.qubit]
-        planes[gate.target] ^= fires
-        fired |= fires
+            if not fires:
+                break
+        else:
+            planes[gate.target] ^= fires
+            fired |= fires
     return fired
-
-
-def _evaluate(gates: Iterable[Gate], values: np.ndarray, planes: list[int]) -> np.ndarray:
-    """Run the gates over ``planes``, the planes of ``values``, and flip the changed bits in values.
-
-    One plane at a time, so the extra memory is an int64 and a uint8 array the size of values.
-    """
-    count = len(values)
-    start = list(planes)
-    _apply_planes(gates, planes, (1 << count) - 1)
-    shifted = np.empty(count, dtype=np.int64)
-    for q, (before, after) in enumerate(zip(start, planes)):
-        if delta := before ^ after:
-            bits = np.frombuffer(delta.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
-            np.left_shift(np.unpackbits(bits, count=count, bitorder="little"), q,
-                          out=shifted, dtype=np.int64)
-            values ^= shifted
-    return values
 
 
 def apply_gates(gates: Iterable[Gate], values: np.ndarray) -> np.ndarray:
     """Apply the gates in order to every basis state of an int64 array, in place; returns it.
 
-    Bits above every gate's qubits pass through unchanged.
+    Bits above every gate's qubits pass through unchanged. The changed planes
+    are unpacked together and weighted by their bits into one int64 of flips
+    per state, so the extra memory is about 8 bytes per state and changed plane.
     """
     gates = tuple(gates)
-    return _evaluate(gates, values, _planes(values, _width(gates)))
+    count = len(values)
+    planes = _planes(values, _width(gates))
+    start = list(planes)
+    _apply_planes(gates, planes, (1 << count) - 1)
+    changed = [q for q, (before, after) in enumerate(zip(start, planes)) if before != after]
+    if changed:
+        size = (count + 7) // 8
+        deltas = b"".join((start[q] ^ planes[q]).to_bytes(size, "little") for q in changed)
+        bits = np.unpackbits(np.frombuffer(deltas, dtype=np.uint8).reshape(len(changed), size),
+                             axis=1, count=count, bitorder="little")
+        values ^= np.left_shift(1, changed, dtype=np.int64) @ bits
+    return values
 
 
 def apply_to_basis(circuit: LeveledCircuit, w: int) -> int:
@@ -214,24 +180,18 @@ def apply_to_basis(circuit: LeveledCircuit, w: int) -> int:
     return w
 
 
-def _basis_states(circuit: LeveledCircuit, values: Iterable[int] | np.ndarray) -> np.ndarray:
-    """The values as a new int64 array, checked to be basis states of the circuit."""
+def apply_to_basis_array(circuit: LeveledCircuit, values: Iterable[int] | np.ndarray) -> np.ndarray:
+    """apply_to_basis over basis states, as a new int64 array: ``apply_gates`` on them alone."""
     values = np.array(values, dtype=np.int64)
     if values.size and not (0 <= values.min() and values.max() < 1 << circuit.n_qubits):
         raise ValueError(f"basis states outside {circuit.n_qubits} qubits")
-    return values
-
-
-def apply_to_basis_array(circuit: LeveledCircuit, values: np.ndarray) -> np.ndarray:
-    """apply_to_basis over an integer array of basis states, read from the table."""
-    return circuit.table[_basis_states(circuit, values)]
+    return apply_gates(circuit.gates(), values)
 
 
 def permutation_table(circuit: LeveledCircuit, domain: Iterable[int]) -> PermutationTable:
-    """The circuit's images of ``domain``, evaluated over the domain alone (no table is built)."""
+    """The circuit's images of ``domain``, evaluated over the domain alone."""
     dom = tuple(domain)
-    image = apply_gates(circuit.gates(), _basis_states(circuit, dom))
-    return PermutationTable(domain=dom, image=tuple(image.tolist()))
+    return PermutationTable(domain=dom, image=tuple(apply_to_basis_array(circuit, dom).tolist()))
 
 
 def lower_negative_controls(circuit: LeveledCircuit) -> LeveledCircuit:

@@ -162,14 +162,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.shots < 0:
+        raise ValueError(f"--shots must be >= 0, got {args.shots}")
+    if args.shots and args.seed is None:
+        raise ValueError("--seed is required when --shots > 0")
     instance = FactoringInstance(N=args.N, a=args.a, m=args.m)
     circuits = synth_all_powers(build_orbit(instance), args.m, args.trnc_lv)
     dist = exact_distribution(instance, circuits)
-    sampled = None
-    if args.shots:
-        if args.seed is None:
-            raise ValueError("--seed is required when --shots > 0")
-        sampled = sample(dist, args.shots, args.seed)
+    sampled = sample(dist, args.shots, args.seed) if args.shots else None
     text = histogram_csv(instance, dist, sampled)
     if args.out:
         _write_atomic(Path(args.out), text)

@@ -19,7 +19,9 @@ import numpy as np
 
 from .circuit import LeveledCircuit
 from .modmath import FactoringInstance, Orbit, build_orbit, extract_factors
-from .shor import EigenphaseSet, PhaseDistribution, exact_distribution, nearest_phase_bin
+from .shor import (
+    EigenphaseSet, PhaseDistribution, exact_distribution, nearest_phase_bin, work_images,
+)
 from .synth import synth_all_powers, truncate
 
 _MASK64 = (1 << 64) - 1
@@ -177,7 +179,8 @@ def resolution_study(
 
     The powers are synthesized once, at the largest m: the circuit for
     2**q does not depend on m, and truncation only empties trailing levels.
-    Each distinct circuit is truncated once per level. Every width is checked
+    Each distinct circuit is truncated once per level, and each width reads a
+    prefix of the level's work images at the largest m. Every width is checked
     before anything is synthesized, every level before any cell is computed.
     Iteration i at level t uses seed derive_seed(base_seed, t, i).
     """
@@ -193,10 +196,11 @@ def resolution_study(
         level = {key: truncate(c, t) for key, c in distinct.items()}
         truncated[t] = [level[id(c)] for c in full]
     out: dict[tuple[int, int], ResolutionCell] = {}
-    for inst_m in instances:
-        for trnc_lv in trnc_levels:
+    for trnc_lv in trnc_levels:
+        images = work_images(truncated[trnc_lv], 1 << len(full))
+        for inst_m in instances:
             circuits = truncated[trnc_lv][:inst_m.m]
-            dist = exact_distribution(inst_m, circuits)
+            dist = exact_distribution(inst_m, circuits, images[: inst_m.M])
             outcomes = [
                 tries_until_factor(
                     inst_m,
@@ -217,7 +221,7 @@ def resolution_study(
             out[(inst_m.m, trnc_lv)] = ResolutionCell(
                 result=result, peaks=peak_presence(inst_m, orbit, dist)
             )
-    return out
+    return {(inst.m, t): out[(inst.m, t)] for inst in instances for t in trnc_levels}
 
 
 _STUDY_COLUMNS = ("N", "a", "r", "n", "m", "trnc_lv", "num_it", "mean_tries", "capped_fraction")

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import LeveledCircuit
+from .circuit import LeveledCircuit, apply_to_basis_array
 from .modmath import FactoringInstance
 
 
@@ -91,11 +91,17 @@ def work_images(circuits: Sequence[LeveledCircuit], M: int) -> np.ndarray:
     """Work image of every control value k in [0, M) from work state 1.
 
     Applies U**(2**q) for each set bit q of k, by doubling: w(k + 2**q) = U**(2**q) w(k).
+    Each U**(2**q) runs on the states reached by k < 2**q alone: ``slot`` numbers them by
+    first arrival, ``idx[k]`` is the slot of w(k), and idx[k + 2**q] that of its image.
     """
-    images = np.ones(1, dtype=np.int64)
-    for q in range(M.bit_length() - 1):
-        images = np.concatenate((images, circuits[q].table[images]))
-    return images
+    m = M.bit_length() - 1
+    slot = {1: 0}
+    idx = np.zeros(1 << m, dtype=np.intp)
+    for q in range(m):
+        images = apply_to_basis_array(circuits[q], list(slot)).tolist()
+        moved = np.array([slot.setdefault(w, len(slot)) for w in images], dtype=np.intp)
+        idx[1 << q : 2 << q] = moved[idx[: 1 << q]]
+    return np.array(list(slot), dtype=np.int64)[idx]
 
 
 # Bytes of FFT workspace for all rows in flight (a complex128 and a float64
@@ -156,21 +162,27 @@ def _power_blocks(order: np.ndarray, bounds: np.ndarray, M: int, workers: int, s
 
 
 def exact_distribution(
-    instance: FactoringInstance, circuits: Sequence[LeveledCircuit]
+    instance: FactoringInstance,
+    circuits: Sequence[LeveledCircuit],
+    images: Optional[np.ndarray] = None,
 ) -> PhaseDistribution:
     """Exact control-register distribution via grouped DFT over work images.
 
-    The indicator rows of the distinct images are transformed in blocks, in
-    reused workspaces of 8 rows in all (fewer from m = 19, where 24 * M bytes
-    per row would pass ``_FFT_BUDGET``). From M = 2**17 the blocks are shared
-    by up to 4 threads, one per usable CPU. The calling thread adds each
-    row's power to P(l) one row at a time in image order, which fixes the
+    ``images``, if given, are ``work_images(circuits, M)``, e.g. the prefix of a
+    wider register's. The indicator rows of the distinct images are transformed
+    in blocks, in reused workspaces of 8 rows in all (fewer from m = 19, where
+    24 * M bytes per row would pass ``_FFT_BUDGET``). From M = 2**17 the blocks
+    are shared by up to 4 threads, one per usable CPU. The calling thread adds
+    each row's power to P(l) one row at a time in image order, which fixes the
     last bits of P(l) whatever the thread count.
     """
     m, M = instance.m, instance.M
     if len(circuits) < m:
         raise ValueError(f"need circuits for powers 2^0 .. 2^{m - 1}, got {len(circuits)}")
-    images = work_images(circuits, M)
+    if images is None:
+        images = work_images(circuits, M)
+    elif images.shape != (M,):
+        raise ValueError(f"work images of shape {images.shape}, need ({M},) for m={m}")
     order = images.argsort()
     # Distinct image u (ascending) is the image of order[bounds[u]:bounds[u + 1]].
     bounds = np.append(np.flatnonzero(np.diff(images[order], prepend=-1)), M)

@@ -40,7 +40,6 @@ from .circuit import (
     LeveledCircuit,
     VERSION_TRUNCATED,
     _apply_planes,
-    _low_halves,
     _planes,
 )
 from .modmath import CycleDecomposition, Orbit, cycle_decomposition
@@ -99,6 +98,25 @@ def minimize_controls(
     return _greedy_controls(
         _planes(values, n_qubits), (1 << len(values)) - 1, fire_value, n_qubits, target
     )
+
+
+# _LOW_HALVES[n][b]: the 2^n-bit set of values whose bit b is 0. A pure
+# function of n, kept for each register width seen.
+_LOW_HALVES: dict[int, tuple[int, ...]] = {}
+
+
+def _low_halves(n_qubits: int) -> tuple[int, ...]:
+    if n_qubits not in _LOW_HALVES:
+        size = 1 << n_qubits
+        masks = []
+        for b in range(n_qubits):
+            mask, width = (1 << (1 << b)) - 1, 2 << b
+            while width < size:  # doubling: the pattern repeats every 2^(b+1) values
+                mask |= mask << width
+                width <<= 1
+            masks.append(mask)
+        _LOW_HALVES[n_qubits] = tuple(masks)
+    return _LOW_HALVES[n_qubits]
 
 
 def _flip_path(current: int, target: int, blocked: frozenset[int], n_qubits: int) -> list[int]:

@@ -2,7 +2,8 @@
 
 None of these runs in the CLI or the pipeline. Each computes its result a
 second, independent way: a brute-force concatenated U^p, the dense
-2^(m+n) statevector backend, the scalar control image, the closed-form
+2^(m+n) statevector backend, the scalar control image, the work images
+by doubling over ``Gate.apply`` alone, the closed-form
 eigenphase amplitudes and eigenvectors, the histogram CSV written one
 outcome at a time, the greedy control search over ``Control`` objects and
 as numpy reductions, the breadth-first flip-path search, the set-based
@@ -114,6 +115,21 @@ def control_image(circuits: Sequence[LeveledCircuit], k: int) -> int:
             w = apply_to_basis(circuits[q], w)
         q += 1
     return w
+
+
+def basis_images(circuit: LeveledCircuit, values: Iterable[int]) -> list[int]:
+    """apply_to_basis on every value, each distinct value evaluated once."""
+    memo: dict[int, int] = {}
+    return [memo[w] if w in memo else memo.setdefault(w, apply_to_basis(circuit, w))
+            for w in values]
+
+
+def work_images_oracle(circuits: Sequence[LeveledCircuit], M: int) -> list[int]:
+    """Work images of k in [0, M) by doubling over Python ints, through ``Gate.apply`` only."""
+    images = [1]
+    for q in range(M.bit_length() - 1):
+        images += basis_images(circuits[q], images)
+    return images
 
 
 def analytic_amplitude(s: int, r: int, l: int, M: int) -> complex:

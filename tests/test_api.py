@@ -49,6 +49,13 @@ def test_phase_bits_is_gone():
     assert not hasattr(truncshor.shor, "phase_bits")
 
 
+def test_leveled_circuit_table_is_gone():
+    # the gate kernel over the states a caller needs is the one compiled form
+    assert not hasattr(truncshor.LeveledCircuit, "table")
+    assert not hasattr(truncshor.circuit, "_basis_states")
+    assert not hasattr(truncshor.circuit, "_low_halves")
+
+
 @pytest.mark.parametrize(
     "layer, name", [(layer, name) for layer, names in traced_names().items() for name in names]
 )

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import truncshor
+from truncshor import cli
 from truncshor.cli import _parse_powers, _parse_range, main
 
 from qasm_grammar import validate_qasm3
@@ -185,6 +186,19 @@ def test_run_requires_seed_for_shots(capsys):
     code, _, err = run_cli(capsys, "run", "--N", "21", "--a", "2", "--m", "5", "--shots", "10")
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--shots", "10"], "error: --seed is required when --shots > 0\n"),
+    (["--shots", "-5"], "error: --shots must be >= 0, got -5\n"),
+    (["--shots", "-5", "--seed", "1"], "error: --shots must be >= 0, got -5\n"),
+])
+def test_run_checks_shots_before_any_synthesis(capsys, monkeypatch, extra, message):
+    calls = []
+    monkeypatch.setattr(cli, "synth_all_powers", lambda *a: calls.append(a))
+    code, out, err = run_cli(capsys, "run", "--N", "247", "--a", "2", "--m", "17", *extra)
+    assert (code, out, err) == (2, "", message)
+    assert calls == []
 
 
 def test_factor_command(capsys):

@@ -307,9 +307,9 @@ def test_resolution_study_truncates_each_distinct_circuit_once(monkeypatch):
     seen = []
     original = truncshor.experiments.exact_distribution
 
-    def recording(instance, circuits):
+    def recording(instance, circuits, images=None):
         seen.append(circuits)
-        return original(instance, circuits)
+        return original(instance, circuits, images)
 
     monkeypatch.setattr(truncshor.experiments, "exact_distribution", recording)
     resolution_study(FactoringInstance(N=143, a=5, m=10), [8, 10], [0, 11, 19], 1, 3)

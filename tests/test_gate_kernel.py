@@ -1,9 +1,7 @@
-"""The bit-sliced gate kernel: ``apply_gates``, the table and domain-only certificates.
+"""The bit-sliced gate kernel: ``apply_gates``, domain-only certificates and work images.
 
-``Gate.apply`` is the oracle. The table builds its planes from masks
-rather than an (n, 2^n) array, and a certificate evaluates its domain
-alone, so neither may allocate more than a few arrays of 2^n entries,
-and a certificate none at all.
+``Gate.apply`` is the oracle. Every caller evaluates the states it needs
+alone, so no CLI path allocates anything of size 2^n, even at n = 24.
 """
 
 import random
@@ -13,6 +11,8 @@ import numpy as np
 
 from truncshor import Control, Gate, LeveledCircuit, apply_gates, permutation_table
 from truncshor.cli import main
+
+from oracles import basis_images
 
 
 def random_gates(rng, n_qubits, count):
@@ -56,21 +56,37 @@ def test_apply_gates_edge_cases():
     assert apply_gates(iter([negated]), values).tolist() == [2, 1 << 40 | 4, 2]
 
 
-def test_table_at_n16_allocates_a_few_arrays():
+def test_apply_gates_over_all_2_to_16_states():
+    # the changed planes are unpacked together and weighted as int64: about 8 bytes
+    # per state per changed plane, plus the flips
     n = 16
     rng = random.Random(16)
-    circuit = LeveledCircuit(
-        n_qubits=n, power=1, levels=(tuple(random_gates(rng, n, 200)),) * 2
-    )
+    gates = random_gates(rng, n, 400)
+    values = np.arange(1 << n, dtype=np.int64)
     tracemalloc.start()
     try:
-        table = circuit.table
+        apply_gates(gates, values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * (1 << n)
+    assert peak <= 8 * (n + 8) * (1 << n)
     sample = rng.sample(range(1 << n), 300)
-    assert table[sample].tolist() == [scalar(list(circuit.gates()), w) for w in sample]
+    assert values[sample].tolist() == [scalar(gates, w) for w in sample]
+
+
+def test_run_at_n24_allocates_nothing_of_size_2_to_the_n(tmp_path, capsys):
+    # N = 2^24 - 1, a = 2: r = 24 orbit states on 24 qubits; a 2^24 table is 128 MiB
+    out = tmp_path / "hist.csv"
+    tracemalloc.start()
+    try:
+        code = main(["run", "--N", "16777215", "--a", "2", "--m", "16", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 << 20
+    assert out.read_text().count("\n") == 1 + (1 << 16)
+    capsys.readouterr()
 
 
 def test_permutation_table_builds_no_table():
@@ -78,9 +94,9 @@ def test_permutation_table_builds_no_table():
     circuit = LeveledCircuit(n_qubits=10, power=1, levels=(tuple(random_gates(rng, 10, 50)),))
     domain = rng.sample(range(1 << 10), 40)
     cert = permutation_table(circuit, domain)
-    assert "table" not in circuit.__dict__
+    assert not hasattr(circuit, "table")
     assert list(cert.image) == [scalar(list(circuit.gates()), w) for w in domain]
-    assert cert.image == tuple(circuit.table[domain].tolist())
+    assert list(cert.image) == basis_images(circuit, domain)
 
 
 def test_synth_at_n24_allocates_nothing_of_size_2_to_the_n(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Byte contracts pinned as SHA-256 digests of the outputs of the unchanged code.
 
 Circuit JSON and QASM are the serialized forms the ``synth`` command writes;
-the study CSV/JSON pair is what ``study`` writes; the histogram CSV is what
-``run`` writes; the JSON lines of ``--quiet factor`` pin the tries stream
+the study CSV/JSON pair is what ``study`` writes; the histogram CSVs are what
+``run`` writes, one of them at n = 24; the JSON lines of ``--quiet factor`` pin the tries stream
 (``tries`` and ``l_measured``) and the exit codes. Any change to synthesis, truncation, sampling or the row
 schema shows up here as a digest mismatch. The n = 10-12 moduli (N = 1001,
 N = 4087) reach control patterns the five small moduli do not.
@@ -76,6 +76,10 @@ SWEEP_21_DIGESTS = (
 # histogram_csv for N=143, a=5, m=12, trnc_lv=10 with 4096 shots at seed 1905.
 HISTOGRAM_143_DIGEST = "5637929643b9214fff2bd368e28473de268986dc8c8e637bd0aa9594cf171973"
 
+# The CSV of `run --N 16777215 --a 2 --m 16` (n = 24, r = 24), as written by the
+# code that still read a 2^24-entry table per circuit.
+RUN_N24_DIGEST = "be9d72df559e51771454e8101a2c50d23aee3508f04bc1f2fadf64c2600a6677"
+
 # sha256 of "<exit code> <stdout>" of `--quiet factor <config> --seed s`, joined over
 # seeds 1..8 (1..2 for the m = 17 configuration). The max-tries configurations
 # mix exit 0 with capped runs that exit 3.
@@ -133,6 +137,13 @@ def test_histogram_csv_bytes():
     dist = exact_distribution(inst, synth_all_powers(build_orbit(inst), 12, 10))
     text = histogram_csv(inst, dist, sample(dist, 4096, 1905))
     assert sha256(text) == HISTOGRAM_143_DIGEST
+
+
+def test_run_csv_bytes_n24(tmp_path, capsys):
+    out = tmp_path / "hist.csv"
+    assert main(["run", "--N", "16777215", "--a", "2", "--m", "16", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_N24_DIGEST
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("config", sorted(FACTOR_DIGESTS))

@@ -22,6 +22,7 @@ from truncshor import (
     sample,
     synth_all_powers,
     tries_until_factor,
+    truncate,
     work_images,
 )
 
@@ -33,6 +34,7 @@ from oracles import (
     control_image,
     eigenstate_vector,
     run_shor_dense,
+    work_images_oracle,
 )
 from reference_data import P5_N21_EXACT
 
@@ -63,6 +65,20 @@ def test_work_images_match_scalar(circuit_sets, instances):
         M = instances[N].M
         vec = work_images(circuits, M)
         assert [control_image(circuits, k) for k in range(M)] == list(vec)
+    cases = [(circuit_sets[N], instances[N].M) for N in CASES]
+    # every truncation of the study (N = 143) and wide (N = 247) benchmark sweeps
+    for N, a, widths, levels in ((143, 5, (8, 10), range(20)), (247, 2, (17,), range(10, 13))):
+        full = synth_all_powers(build_orbit(FactoringInstance(N=N, a=a, m=1)), max(widths))
+        for t in levels:
+            circuits = [truncate(c, t) for c in full]
+            cases += [(circuits, 1 << m) for m in widths]
+    # n = 20 and 24, where a table of all 2^n states would be 8 and 128 MiB per circuit
+    for N in (1048575, 16777215):
+        cases.append((synth_all_powers(build_orbit(FactoringInstance(N=N, a=2, m=16)), 16), 1 << 16))
+    for circuits, M in cases:
+        vec = work_images(circuits, M)
+        assert vec.dtype == np.int64 and vec.shape == (M,)
+        assert vec.tolist() == work_images_oracle(circuits, M)
 
 
 def test_exact_distribution_n21(instances, circuit_sets):
@@ -100,6 +116,18 @@ def test_exact_distribution_identity_case():
     dist = exact_distribution(inst, [identity])
     assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-12)
     assert dist.probabilities[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_exact_distribution_reads_a_wider_registers_image_prefix(instances, circuit_sets):
+    # the first 2^m work images depend on circuits[:m] alone
+    wide = work_images(circuit_sets[143], instances[143].M)
+    for m in (1, 6, 9):
+        inst = FactoringInstance(N=143, a=5, m=m)
+        own = exact_distribution(inst, circuit_sets[143][:m]).probabilities
+        shared = exact_distribution(inst, circuit_sets[143][:m], wide[: 1 << m]).probabilities
+        assert own.tobytes() == shared.tobytes()
+    with pytest.raises(ValueError, match=r"shape \(1024,\), need \(512,\) for m=9"):
+        exact_distribution(inst, circuit_sets[143], wide)
 
 
 def dense_indicator_distribution(circuits, m):
