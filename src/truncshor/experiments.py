@@ -17,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .circuit import LeveledCircuit
 from .modmath import FactoringInstance, Orbit, build_orbit, extract_factors
 from .shor import (
     EigenphaseSet, PhaseDistribution, exact_distribution, nearest_phase_bin, work_images,
@@ -60,18 +59,13 @@ class TryOutcome:
 
 
 def tries_until_factor(
-    instance: FactoringInstance,
-    circuits: Sequence[LeveledCircuit],
-    seed: int,
-    max_tries: int = 500,
-    dist: Optional[PhaseDistribution] = None,
+    instance: FactoringInstance, dist: PhaseDistribution, seed: int, max_tries: int = 500
 ) -> TryOutcome:
     """Draw measurements until one yields factors; report the 1-based count.
 
-    Draws come from the exact distribution of the given circuits (pass
-    ``dist`` to reuse a precomputed one) via ``dist.cdf``, in chunks of 16, 32,
-    64, ... up to max_tries in all: the same stream as one call for all of
-    them, and fewer than 2 * tries + 16 values drawn.
+    Draws come from ``dist.cdf``, in chunks of 16, 32, 64, ... up to max_tries
+    in all: the same stream as one call for all of them, and fewer than
+    2 * tries + 16 values drawn.
     Every winning l splits N as gcd(a**(r/2) -+ 1, N), since ``factor_mask``
     accepts only odd multiples of r; when it accepts no outcome at all (odd r,
     or a**(r/2) = -1 mod N) nothing is drawn. Returns max_tries with
@@ -79,8 +73,6 @@ def tries_until_factor(
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
-    if dist is None:
-        dist = exact_distribution(instance, circuits)
     if dist.m != instance.m:
         raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
     mask = instance.factor_mask
@@ -179,36 +171,27 @@ def resolution_study(
 
     The powers are synthesized once, at the largest m: the circuit for
     2**q does not depend on m, and truncation only empties trailing levels.
-    Each distinct circuit is truncated once per level, and each width reads a
-    prefix of the level's work images at the largest m. Every width is checked
-    before anything is synthesized, every level before any cell is computed.
-    Iteration i at level t uses seed derive_seed(base_seed, t, i).
+    Each level's work images are computed once, at the largest m, and each
+    width reads their prefix. Every width, ``num_it`` and ``max_tries`` are
+    checked before anything is synthesized, every level before any cell is
+    computed. Iteration i at level t uses seed derive_seed(base_seed, t, i).
     """
     if num_it < 1:
         raise ValueError(f"num_it must be >= 1, got {num_it}")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     instances = [replace(instance, m=m) for m in m_values]
     trnc_levels = list(trnc_range)
     orbit = build_orbit(instance)
     full = synth_all_powers(orbit, max((inst.m for inst in instances), default=0))
-    distinct = {id(c): c for c in full}
-    truncated = {}
-    for t in trnc_levels:
-        level = {key: truncate(c, t) for key, c in distinct.items()}
-        truncated[t] = [level[id(c)] for c in full]
+    truncated = {t: truncate(full, t) for t in trnc_levels}
     out: dict[tuple[int, int], ResolutionCell] = {}
     for trnc_lv in trnc_levels:
         images = work_images(truncated[trnc_lv], 1 << len(full))
         for inst_m in instances:
-            circuits = truncated[trnc_lv][:inst_m.m]
-            dist = exact_distribution(inst_m, circuits, images[: inst_m.M])
+            dist = exact_distribution(inst_m, images[: inst_m.M])
             outcomes = [
-                tries_until_factor(
-                    inst_m,
-                    circuits,
-                    seed=derive_seed(base_seed, trnc_lv, it),
-                    max_tries=max_tries,
-                    dist=dist,
-                )
+                tries_until_factor(inst_m, dist, derive_seed(base_seed, trnc_lv, it), max_tries)
                 for it in range(num_it)
             ]
             result = TriesResult(

@@ -121,16 +121,23 @@ class Orbit:
         return len(self.states)
 
 
+# Longest orbit build_orbit stores: 2**20 Python ints take about 40 MiB.
+MAX_PERIOD = 1 << 20
+
+
 def build_orbit(instance: FactoringInstance) -> Orbit:
     """Iterate f(x+1) = a*f(x) mod N from f(0) = 1 until 1 recurs.
 
     This doubles as the brute-force period oracle: r is found by direct
-    iteration, never assumed.
+    iteration, never assumed. A period above MAX_PERIOD raises ValueError
+    once MAX_PERIOD states are stored.
     """
     N, a = instance.N, instance.a
     states = [1]
     v = a % N
     while v != 1:
+        if len(states) == MAX_PERIOD:
+            raise ValueError(f"period of a={a} mod N={N} exceeds the cap of {MAX_PERIOD} states")
         states.append(v)
         v = (v * a) % N
     return Orbit(instance=instance, states=tuple(states))

@@ -95,6 +95,8 @@ def work_images(circuits: Sequence[LeveledCircuit], M: int) -> np.ndarray:
     first arrival, ``idx[k]`` is the slot of w(k), and idx[k + 2**q] that of its image.
     """
     m = M.bit_length() - 1
+    if len(circuits) < m:
+        raise ValueError(f"need circuits for powers 2^0 .. 2^{m - 1}, got {len(circuits)}")
     slot = {1: 0}
     idx = np.zeros(1 << m, dtype=np.intp)
     for q in range(m):
@@ -161,27 +163,19 @@ def _power_blocks(order: np.ndarray, bounds: np.ndarray, M: int, workers: int, s
             yield future.result()
 
 
-def exact_distribution(
-    instance: FactoringInstance,
-    circuits: Sequence[LeveledCircuit],
-    images: Optional[np.ndarray] = None,
-) -> PhaseDistribution:
-    """Exact control-register distribution via grouped DFT over work images.
+def exact_distribution(instance: FactoringInstance, images: np.ndarray) -> PhaseDistribution:
+    """Exact control-register distribution via grouped DFT over ``work_images(circuits, M)``.
 
-    ``images``, if given, are ``work_images(circuits, M)``, e.g. the prefix of a
-    wider register's. The indicator rows of the distinct images are transformed
-    in blocks, in reused workspaces of 8 rows in all (fewer from m = 19, where
-    24 * M bytes per row would pass ``_FFT_BUDGET``). From M = 2**17 the blocks
-    are shared by up to 4 threads, one per usable CPU. The calling thread adds
-    each row's power to P(l) one row at a time in image order, which fixes the
-    last bits of P(l) whatever the thread count.
+    The images may be the prefix of a wider register's. The indicator rows of
+    the distinct images are transformed in blocks, in reused workspaces of 8
+    rows in all (fewer from m = 19, where 24 * M bytes per row would pass
+    ``_FFT_BUDGET``). From M = 2**17 the blocks are shared by up to 4 threads,
+    one per usable CPU. The calling thread adds each row's power to P(l) one
+    row at a time in image order, which fixes the last bits of P(l) whatever
+    the thread count.
     """
     m, M = instance.m, instance.M
-    if len(circuits) < m:
-        raise ValueError(f"need circuits for powers 2^0 .. 2^{m - 1}, got {len(circuits)}")
-    if images is None:
-        images = work_images(circuits, M)
-    elif images.shape != (M,):
+    if images.shape != (M,):
         raise ValueError(f"work images of shape {images.shape}, need ({M},) for m={m}")
     order = images.argsort()
     # Distinct image u (ascending) is the image of order[bounds[u]:bounds[u + 1]].

@@ -24,13 +24,13 @@ trajectories are kept as bit planes across levels too: each level runs
 the circuit module's gate kernel on them, and only the trajectories whose
 slot bits changed are read back.
 
-Truncation then simply empties the last ``trnc_lv`` levels.
+``truncate`` then empties the last ``trnc_lv`` levels of synthesized circuits.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -217,23 +217,24 @@ def transition_order(decomp: CycleDecomposition) -> list[tuple[int, int]]:
     return out
 
 
-def truncate(circuit: LeveledCircuit, trnc_lv: int) -> LeveledCircuit:
-    """The circuit with its last trnc_lv levels emptied (0 gives it back as is)."""
-    r = circuit.num_levels
-    if not 0 <= trnc_lv < r:
-        raise ValueError(f"trnc_lv={trnc_lv} outside [0, {r})")
-    if not trnc_lv:
-        return circuit
-    return replace(
-        circuit,
-        levels=circuit.levels[: r - trnc_lv] + ((),) * trnc_lv,
-        trnc_lv=trnc_lv,
-        version=VERSION_TRUNCATED,
-    )
+def truncate(circuits: Sequence[LeveledCircuit], trnc_lv: int) -> list[LeveledCircuit]:
+    """The circuits with their last trnc_lv levels emptied (0 gives them back as they are).
+
+    Each distinct circuit object is truncated once, so powers that shared a circuit still do.
+    """
+    done: dict[int, LeveledCircuit] = {}
+    for c in circuits:
+        r = c.num_levels
+        if not 0 <= trnc_lv < r:
+            raise ValueError(f"trnc_lv={trnc_lv} outside [0, {r})")
+        if trnc_lv and id(c) not in done:
+            done[id(c)] = replace(c, levels=c.levels[: r - trnc_lv] + ((),) * trnc_lv,
+                                  trnc_lv=trnc_lv, version=VERSION_TRUNCATED)
+    return [done.get(id(c), c) for c in circuits]
 
 
-def synth_me_operator(orbit: Orbit, p: int, trnc_lv: int = 0) -> LeveledCircuit:
-    """Synthesize U**p on the orbit, then empty the last trnc_lv levels."""
+def synth_me_operator(orbit: Orbit, p: int) -> LeveledCircuit:
+    """Synthesize U**p on the orbit, one level per transition."""
     n = orbit.instance.n
     decomp = cycle_decomposition(orbit, p)
     position = {s: i for i, s in enumerate(orbit.states)}
@@ -251,13 +252,10 @@ def synth_me_operator(orbit: Orbit, p: int, trnc_lv: int = 0) -> LeveledCircuit:
             frontier[i] = sum((plane >> i & 1) << q for q, plane in enumerate(planes))
             moved &= moved - 1
         protected.add(tgt)
-    full = LeveledCircuit(n_qubits=n, power=p, levels=tuple(levels))
-    return truncate(full, trnc_lv)
+    return LeveledCircuit(n_qubits=n, power=p, levels=tuple(levels))
 
 
-def synth_powers(
-    orbit: Orbit, powers: Iterable[int], trnc_lv: int = 0
-) -> list[LeveledCircuit]:
+def synth_powers(orbit: Orbit, powers: Iterable[int]) -> list[LeveledCircuit]:
     """One circuit per power; powers congruent mod r share one circuit object.
 
     They act identically on the orbit, so each residue is synthesized once, at its first power.
@@ -267,11 +265,11 @@ def synth_powers(
     for p in powers:
         key = p % orbit.r
         if key not in cache:
-            cache[key] = synth_me_operator(orbit, p, trnc_lv)
+            cache[key] = synth_me_operator(orbit, p)
         out.append(cache[key])
     return out
 
 
-def synth_all_powers(orbit: Orbit, m: int, trnc_lv: int = 0) -> list[LeveledCircuit]:
+def synth_all_powers(orbit: Orbit, m: int) -> list[LeveledCircuit]:
     """Circuits for p = 2**0 ... 2**(m-1), shared as in ``synth_powers``."""
-    return synth_powers(orbit, [1 << q for q in range(m)], trnc_lv)
+    return synth_powers(orbit, [1 << q for q in range(m)])

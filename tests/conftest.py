@@ -31,13 +31,13 @@ def circuit_sets(orbits):
 
 @pytest.fixture
 def synth_calls(monkeypatch):
-    """(p, trnc_lv) of every synth_me_operator call made while the test runs."""
+    """The power p of every synth_me_operator call made while the test runs."""
     calls = []
     original = truncshor.synth.synth_me_operator
 
-    def counting(orbit, p, trnc_lv=0):
-        calls.append((p, trnc_lv))
-        return original(orbit, p, trnc_lv)
+    def counting(orbit, p):
+        calls.append(p)
+        return original(orbit, p)
 
     monkeypatch.setattr(truncshor.synth, "synth_me_operator", counting)
     return calls

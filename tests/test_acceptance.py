@@ -25,6 +25,7 @@ from truncshor import (
     to_json,
     to_qasm3,
     truncation_sweep,
+    work_images,
 )
 
 from conftest import CASES
@@ -112,7 +113,7 @@ def test_c05_distribution_oracle(instances, orbits, circuit_sets):
         inst = instances[N]
         r = orbits[N].r
         M = inst.M
-        dist = exact_distribution(inst, circuit_sets[N]).probabilities
+        dist = exact_distribution(inst, work_images(circuit_sets[N], inst.M)).probabilities
         oracle = np.array(
             [
                 sum(abs(analytic_amplitude(s, r, l, M)) ** 2 for s in range(r))
@@ -121,8 +122,9 @@ def test_c05_distribution_oracle(instances, orbits, circuit_sets):
         )
         assert np.max(np.abs(dist - oracle)) < 1e-9, N
     for N in (21, 33):
-        dense = run_shor_dense(instances[N], circuit_sets[N]).probabilities
-        fast = exact_distribution(instances[N], circuit_sets[N]).probabilities
+        inst = instances[N]
+        dense = run_shor_dense(inst, circuit_sets[N]).probabilities
+        fast = exact_distribution(inst, work_images(circuit_sets[N], inst.M)).probabilities
         assert np.max(np.abs(dense - fast)) < 1e-9, N
     _ok("criterion 5: closed-form amplitudes and dense backend agree within 1e-9")
 
@@ -131,7 +133,7 @@ def test_c06_degenerate_exact_phases():
     inst = FactoringInstance(N=15, a=2, m=5)
     orbit = build_orbit(inst)
     assert orbit.r == 4
-    p = exact_distribution(inst, synth_all_powers(orbit, 5)).probabilities
+    p = exact_distribution(inst, work_images(synth_all_powers(orbit, 5), inst.M)).probabilities
     for l in range(32):
         expect = 0.25 if l in (0, 8, 16, 24) else 0.0
         assert abs(p[l] - expect) < 1e-12, l
@@ -182,7 +184,7 @@ def test_c08_resolution_peaks(instances, orbits):
     for (N, m), expected in expectations.items():
         inst = FactoringInstance(N=N, a=instances[N].a, m=m)
         orbit = orbits[N]
-        dist = exact_distribution(inst, synth_all_powers(orbit, m))
+        dist = exact_distribution(inst, work_images(synth_all_powers(orbit, m), inst.M))
         peaks = peak_presence(inst, orbit, dist)
         present = {s for s, ok in peaks.items() if ok}
         assert present == expected, (N, m, present)

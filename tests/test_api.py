@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,23 @@ def test_leveled_circuit_table_is_gone():
     assert not hasattr(truncshor.LeveledCircuit, "table")
     assert not hasattr(truncshor.circuit, "_basis_states")
     assert not hasattr(truncshor.circuit, "_low_halves")
+
+
+# Each pipeline stage takes the previous stage's output and nothing that would redo it.
+STAGES = {
+    "synth_me_operator": ["orbit", "p"],
+    "synth_powers": ["orbit", "powers"],
+    "synth_all_powers": ["orbit", "m"],
+    "truncate": ["circuits", "trnc_lv"],
+    "work_images": ["circuits", "M"],
+    "exact_distribution": ["instance", "images"],
+    "tries_until_factor": ["instance", "dist", "seed", "max_tries"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGES))
+def test_pipeline_stage_parameters(name):
+    assert list(inspect.signature(getattr(truncshor, name)).parameters) == STAGES[name]
 
 
 @pytest.mark.parametrize(

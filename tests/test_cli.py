@@ -201,6 +201,23 @@ def test_run_checks_shots_before_any_synthesis(capsys, monkeypatch, extra, messa
     assert calls == []
 
 
+@pytest.mark.parametrize("command, extra, message", [
+    ("factor", ["--seed", "1"], "error: --max-tries must be >= 1, got 0\n"),
+    ("study", ["--trnc", "10:12", "--seed", "1", "--out", "s.csv"],
+     "error: max_tries must be >= 1, got 0\n"),
+])
+def test_max_tries_is_checked_before_any_synthesis(
+    capsys, monkeypatch, tmp_path, command, extra, message
+):
+    calls = []
+    for module in (cli, truncshor.experiments):
+        monkeypatch.setattr(module, "synth_all_powers", lambda *a: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--N", "247", "--a", "2", "--m", "17", "--max-tries", "0", *extra]
+    assert run_cli(capsys, *argv) == (2, "", message)
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
 def test_factor_command(capsys):
     code, out, _ = run_cli(
         capsys, "factor", "--N", "21", "--a", "2", "--m", "5", "--seed", "1"

@@ -28,6 +28,15 @@ def test_synth_certificates_build_one_table_per_distinct_circuit(tmp_path, capsy
     capsys.readouterr()
 
 
+def test_synth_rejects_out_of_range_truncation_and_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "circuits"
+    argv = ["synth", "--N", "21", "--a", "2", "--powers", "1:16", "--out", str(out_dir)]
+    for t in ("6", "-1"):
+        assert main([*argv, "--trnc-lv", t]) == 2
+        assert capsys.readouterr().err == f"error: trnc_lv={t} outside [0, 6)\n"
+        assert not out_dir.exists()
+
+
 def test_synth_rejects_non_integer_power(tmp_path, capsys):
     out_dir = tmp_path / "circuits"
     code = main(["synth", "--N", "21", "--a", "2", "--powers", "1:x", "--out", str(out_dir)])

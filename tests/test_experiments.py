@@ -25,7 +25,9 @@ from truncshor import (
     extract_factors,
     synth_all_powers,
     tries_until_factor,
+    truncate,
     truncation_sweep,
+    work_images,
 )
 
 from conftest import CASES
@@ -39,24 +41,24 @@ def test_derive_seed_deterministic_and_spread():
     assert all(0 <= s < (1 << 64) for s in list(seen)[:10])
 
 
-def test_tries_until_factor_point_mass(instances, circuit_sets):
+def test_tries_until_factor_point_mass(instances):
     inst = instances[21]
     p = np.zeros(32)
     p[5] = 1.0
     dist = PhaseDistribution(m=5, probabilities=p, provenance="exact")
-    outcome = tries_until_factor(inst, circuit_sets[21], seed=0, dist=dist)
+    outcome = tries_until_factor(inst, dist, seed=0)
     assert outcome.tries == 1
     assert not outcome.capped
     assert outcome.l == 5
     assert outcome.factors == (7, 3)
 
 
-def test_tries_until_factor_caps(instances, circuit_sets):
+def test_tries_until_factor_caps(instances):
     inst = instances[21]
     p = np.zeros(32)
     p[0] = 1.0  # barren outcome: only convergent is (0, 1)
     dist = PhaseDistribution(m=5, probabilities=p, provenance="exact")
-    outcome = tries_until_factor(inst, circuit_sets[21], seed=3, max_tries=25, dist=dist)
+    outcome = tries_until_factor(inst, dist, seed=3, max_tries=25)
     assert outcome.tries == 25
     assert outcome.capped
     assert outcome.factors is None
@@ -71,7 +73,7 @@ def one_call_oracle(inst, dist, seed, max_tries):
     return int(hits[0]) + 1, int(draws[hits[0]]), False
 
 
-def test_chunked_draws_match_one_call(monkeypatch, instances, circuit_sets):
+def test_chunked_draws_match_one_call(monkeypatch, instances):
     """Chunks of 16, 32, 64, ... give the one-call stream and stop at the chunk that wins."""
     inst = instances[21]
     p = np.zeros(inst.M)
@@ -91,7 +93,7 @@ def test_chunked_draws_match_one_call(monkeypatch, instances, circuit_sets):
 
     def run(seed, max_tries):
         sizes.clear()
-        outcome = tries_until_factor(inst, circuit_sets[21], seed=seed, max_tries=max_tries, dist=dist)
+        outcome = tries_until_factor(inst, dist, seed=seed, max_tries=max_tries)
         chunks = [16, 32, 64, 128, 256, 512]
         chunks = [min(c, max_tries - sum(chunks[:k])) for k, c in enumerate(chunks)]
         assert sizes == chunks[: len(sizes)]
@@ -128,25 +130,26 @@ def test_instance_without_factor_outcomes_draws_nothing(monkeypatch, N, a):
         raise AssertionError("default_rng called")
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
-    outcome = tries_until_factor(inst, [], seed=1, max_tries=77, dist=dist)
+    outcome = tries_until_factor(inst, dist, seed=1, max_tries=77)
     assert outcome == TryOutcome(tries=77, capped=True)
 
 
-def test_mismatched_distribution_width_is_rejected(instances, circuit_sets):
+def test_mismatched_distribution_width_is_rejected(instances):
     # l = 5 of 2^4 yields no factors; read as l = 5 of 2^5 it would give (7, 3)
     inst = instances[21]
     p = np.zeros(16)
     p[5] = 1.0
     dist = PhaseDistribution(m=4, probabilities=p, provenance="exact")
     with pytest.raises(ValueError, match="m=4"):
-        tries_until_factor(inst, circuit_sets[21], seed=0, dist=dist)
+        tries_until_factor(inst, dist, seed=0)
     with pytest.raises(ValueError, match="m=4"):
         histogram_csv(inst, dist)
 
 
 def test_tries_until_factor_untruncated(instances, circuit_sets):
     inst = instances[21]
-    outcome = tries_until_factor(inst, circuit_sets[21], seed=derive_seed(12, 0, 0))
+    dist = exact_distribution(inst, work_images(circuit_sets[21], inst.M))
+    outcome = tries_until_factor(inst, dist, seed=derive_seed(12, 0, 0))
     assert not outcome.capped
     assert outcome.factors == (7, 3)
     assert 1 <= outcome.tries <= 100
@@ -186,13 +189,13 @@ def test_untruncated_no_worse_than_fully_truncated(instances):
 
 
 def test_peak_presence_n21(instances, circuit_sets, orbits):
-    dist = exact_distribution(instances[21], circuit_sets[21])
+    dist = exact_distribution(instances[21], work_images(circuit_sets[21], instances[21].M))
     peaks = peak_presence(instances[21], orbits[21], dist)
     assert peaks == {1: True, 5: True}
 
 
 def test_peak_presence_n33(instances, circuit_sets, orbits):
-    dist = exact_distribution(instances[33], circuit_sets[33])
+    dist = exact_distribution(instances[33], work_images(circuit_sets[33], instances[33].M))
     peaks = peak_presence(instances[33], orbits[33], dist)
     assert peaks == {1: True, 3: True, 7: True, 9: True}
 
@@ -236,7 +239,7 @@ def test_resolution_study_synthesizes_once_per_residue(synth_calls):
         FactoringInstance(N=21, a=2, m=5), [4, 5], range(3), num_it=2, base_seed=3
     )
     assert len(cells) == 6
-    assert synth_calls == [(1, 0), (2, 0), (4, 0)]
+    assert synth_calls == [1, 2, 4]
 
 
 def test_resolution_study_checks_levels_before_any_cell(monkeypatch):
@@ -296,7 +299,8 @@ def test_tries_until_factor_builds_no_report_and_calls_no_choice(monkeypatch, in
         monkeypatch.setattr(module, "analyze_measurement", no_report, raising=False)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: NoChoice(np.random.PCG64(seed)))
     inst = instances[143]
-    outcome = tries_until_factor(inst, synth_all_powers(build_orbit(inst), inst.m, 11), seed=9)
+    circuits = truncate(synth_all_powers(build_orbit(inst), inst.m), 11)
+    outcome = tries_until_factor(inst, exact_distribution(inst, work_images(circuits, inst.M)), seed=9)
     assert not outcome.capped
     assert outcome.factors == (11, 13)
     assert inst.factor_mask[outcome.l]
@@ -304,22 +308,18 @@ def test_tries_until_factor_builds_no_report_and_calls_no_choice(monkeypatch, in
 
 def test_resolution_study_truncates_each_distinct_circuit_once(monkeypatch):
     # N=143, a=5 has r = 20: of the powers 2^0 .. 2^9 only 6 residues mod 20 are distinct
+    # Each level's work images are computed once, at the widest m, for both widths.
     seen = []
-    original = truncshor.experiments.exact_distribution
+    original = truncshor.experiments.work_images
 
-    def recording(instance, circuits, images=None):
-        seen.append(circuits)
-        return original(instance, circuits, images)
+    def recording(circuits, M):
+        seen.append((circuits, M))
+        return original(circuits, M)
 
-    monkeypatch.setattr(truncshor.experiments, "exact_distribution", recording)
+    monkeypatch.setattr(truncshor.experiments, "work_images", recording)
     resolution_study(FactoringInstance(N=143, a=5, m=10), [8, 10], [0, 11, 19], 1, 3)
-    assert len(seen) == 6
-    for circuits in seen:
+    assert [(circuits[0].trnc_lv, M) for circuits, M in seen] == [(0, 1024), (11, 1024), (19, 1024)]
+    for circuits, _ in seen:
         residues = [(1 << q) % 20 for q in range(len(circuits))]
         for i, j in itertools.combinations(range(len(circuits)), 2):
             assert (circuits[i] is circuits[j]) == (residues[i] == residues[j])
-    by_level = {}
-    for circuits in seen:
-        by_level.setdefault(circuits[0].trnc_lv, []).append(circuits)
-    for narrow, wide in by_level.values():
-        assert all(a is b for a, b in zip(narrow, wide))

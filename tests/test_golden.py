@@ -27,13 +27,15 @@ from truncshor import (
     synth_powers,
     to_json,
     to_qasm3,
+    truncate,
     truncation_sweep,
+    work_images,
 )
 from truncshor.cli import main
 
 from conftest import CASES
 
-# sha256 of the "\n"-joined to_json(c, indent=2) over synth_all_powers(orbit, m, t),
+# sha256 of the "\n"-joined to_json(c, indent=2) over truncate(synth_all_powers(orbit, m), t),
 # keyed by (N, t) for t in {0, r // 2, r - 1}.
 CIRCUIT_DIGESTS = {
     (21, 0): "661a2d0610682e1ee079fa83b013433b96e92c9a5ad1e7728b9abcca6fa38cbf",
@@ -100,7 +102,7 @@ def sha256(text: str) -> str:
 
 @pytest.mark.parametrize("N, t", sorted(CIRCUIT_DIGESTS))
 def test_circuit_json_bytes(orbits, N, t):
-    circuits = synth_all_powers(orbits[N], CASES[N][1], t)
+    circuits = truncate(synth_all_powers(orbits[N], CASES[N][1]), t)
     text = "\n".join(to_json(c, indent=2) for c in circuits)
     assert sha256(text) == CIRCUIT_DIGESTS[(N, t)]
 
@@ -134,7 +136,8 @@ def test_truncation_sweep_bytes():
 
 def test_histogram_csv_bytes():
     inst = FactoringInstance(N=143, a=5, m=12)
-    dist = exact_distribution(inst, synth_all_powers(build_orbit(inst), 12, 10))
+    circuits = truncate(synth_all_powers(build_orbit(inst), 12), 10)
+    dist = exact_distribution(inst, work_images(circuits, inst.M))
     text = histogram_csv(inst, dist, sample(dist, 4096, 1905))
     assert sha256(text) == HISTOGRAM_143_DIGEST
 

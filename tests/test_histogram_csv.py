@@ -11,6 +11,8 @@ from truncshor import (
     histogram_csv,
     sample,
     synth_all_powers,
+    truncate,
+    work_images,
 )
 
 from oracles import histogram_csv_loop
@@ -29,7 +31,8 @@ from oracles import histogram_csv_loop
 )
 def test_histogram_csv_equals_loop(N, a, m, trnc_lv, shots):
     inst = FactoringInstance(N=N, a=a, m=m)
-    dist = exact_distribution(inst, synth_all_powers(build_orbit(inst), m, trnc_lv))
+    circuits = truncate(synth_all_powers(build_orbit(inst), m), trnc_lv)
+    dist = exact_distribution(inst, work_images(circuits, inst.M))
     sampled = sample(dist, shots, 7) if shots else None
     assert histogram_csv(inst, dist, sampled) == histogram_csv_loop(inst, dist, sampled)
 

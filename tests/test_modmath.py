@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+import truncshor.modmath
 from truncshor import (
     FactoringInstance,
     NotCoprimeError,
@@ -81,6 +82,17 @@ def test_not_coprime_carries_factor():
 @pytest.mark.parametrize("N", sorted(ORBITS))
 def test_build_orbit_goldens(orbits, N):
     assert list(orbits[N].states) == ORBITS[N]
+
+
+@pytest.mark.parametrize("cap, ok", [(6, True), (5, False)])  # N=21, a=2 has r = 6
+def test_build_orbit_caps_the_period(monkeypatch, cap, ok):
+    monkeypatch.setattr(truncshor.modmath, "MAX_PERIOD", cap)
+    inst = FactoringInstance(N=21, a=2, m=1)
+    if ok:
+        assert build_orbit(inst).r == 6
+    else:
+        with pytest.raises(ValueError, match="period of a=2 mod N=21 exceeds the cap of 5 states"):
+            build_orbit(inst)
 
 
 def test_build_orbit_n35(orbits):

@@ -37,7 +37,7 @@ def circuits(circuit_sets):
     out = list(HAND_BUILT)
     for N in CASES:
         out += circuit_sets[N]
-        out.append(truncate(circuit_sets[N][0], circuit_sets[N][0].num_levels // 2))
+        out.append(truncate(circuit_sets[N][:1], circuit_sets[N][0].num_levels // 2)[0])
     return out
 
 

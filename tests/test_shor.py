@@ -70,7 +70,7 @@ def test_work_images_match_scalar(circuit_sets, instances):
     for N, a, widths, levels in ((143, 5, (8, 10), range(20)), (247, 2, (17,), range(10, 13))):
         full = synth_all_powers(build_orbit(FactoringInstance(N=N, a=a, m=1)), max(widths))
         for t in levels:
-            circuits = [truncate(c, t) for c in full]
+            circuits = truncate(full, t)
             cases += [(circuits, 1 << m) for m in widths]
     # n = 20 and 24, where a table of all 2^n states would be 8 and 128 MiB per circuit
     for N in (1048575, 16777215):
@@ -81,8 +81,14 @@ def test_work_images_match_scalar(circuit_sets, instances):
         assert vec.tolist() == work_images_oracle(circuits, M)
 
 
+def test_work_images_reject_too_few_circuits(circuit_sets):
+    with pytest.raises(ValueError, match=r"need circuits for powers 2\^0 \.\. 2\^9, got 9"):
+        work_images(circuit_sets[143][:9], 1 << 10)
+    assert work_images(circuit_sets[143][:9], 1 << 9).shape == (512,)
+
+
 def test_exact_distribution_n21(instances, circuit_sets):
-    dist = exact_distribution(instances[21], circuit_sets[21])
+    dist = exact_distribution(instances[21], work_images(circuit_sets[21], instances[21].M))
     p = dist.probabilities
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     assert p[5] == pytest.approx(P5_N21_EXACT, abs=1e-12)
@@ -103,7 +109,7 @@ def test_exact_distribution_degenerate_n15():
 
     orbit = build_orbit(inst)
     assert orbit.r == 4
-    dist = exact_distribution(inst, synth_all_powers(orbit, 5))
+    dist = exact_distribution(inst, work_images(synth_all_powers(orbit, 5), inst.M))
     p = dist.probabilities
     for l in range(32):
         expect = 0.25 if l % 8 == 0 else 0.0
@@ -113,7 +119,7 @@ def test_exact_distribution_degenerate_n15():
 def test_exact_distribution_identity_case():
     inst = FactoringInstance(N=15, a=4, m=1)
     identity = LeveledCircuit(n_qubits=4, power=1, levels=((),))
-    dist = exact_distribution(inst, [identity])
+    dist = exact_distribution(inst, work_images([identity], inst.M))
     assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-12)
     assert dist.probabilities[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -123,11 +129,11 @@ def test_exact_distribution_reads_a_wider_registers_image_prefix(instances, circ
     wide = work_images(circuit_sets[143], instances[143].M)
     for m in (1, 6, 9):
         inst = FactoringInstance(N=143, a=5, m=m)
-        own = exact_distribution(inst, circuit_sets[143][:m]).probabilities
-        shared = exact_distribution(inst, circuit_sets[143][:m], wide[: 1 << m]).probabilities
+        own = exact_distribution(inst, work_images(circuit_sets[143][:m], inst.M)).probabilities
+        shared = exact_distribution(inst, wide[: 1 << m]).probabilities
         assert own.tobytes() == shared.tobytes()
     with pytest.raises(ValueError, match=r"shape \(1024,\), need \(512,\) for m=9"):
-        exact_distribution(inst, circuit_sets[143], wide)
+        exact_distribution(inst, wide)
 
 
 def dense_indicator_distribution(circuits, m):
@@ -183,15 +189,16 @@ def test_exact_distribution_matches_dense_indicators_bitwise(
 ):
     """Every worker count (1..4) and number of rows in flight (1..8) gives the oracle's bits."""
     inst = FactoringInstance(N=N, a=a, m=m)
-    circuits = synth_all_powers(build_orbit(inst), m, trnc_lv)
+    circuits = truncate(synth_all_powers(build_orbit(inst), m), trnc_lv)
     expected = dense_indicator_distribution(circuits, m)
-    distinct = len(np.unique(work_images(circuits, inst.M)))
+    images = work_images(circuits, inst.M)
+    distinct = len(np.unique(images))
     monkeypatch.setattr(truncshor.shor, "_POOL_MIN_M", 1)
     for cpus, rows in itertools.product(range(1, 5), range(1, 9)):
         use_cpus(monkeypatch, cpus)
         monkeypatch.setattr(truncshor.shor, "_FFT_BUDGET", rows * 24 * inst.M)
         pools.clear()
-        assert np.array_equal(exact_distribution(inst, circuits).probabilities, expected)
+        assert np.array_equal(exact_distribution(inst, images).probabilities, expected)
         workers = min(cpus, rows)
         assert len(pools) == (workers > 1 and distinct > rows // workers)
         assert all(w <= workers for w in pools)
@@ -199,15 +206,16 @@ def test_exact_distribution_matches_dense_indicators_bitwise(
 
 def test_exact_distribution_one_row_in_flight_uses_no_pool(monkeypatch, pools):
     inst = FactoringInstance(N=143, a=5, m=14)
-    circuits = synth_all_powers(build_orbit(inst), 14, 4)
+    circuits = truncate(synth_all_powers(build_orbit(inst), 14), 4)
+    images = work_images(circuits, inst.M)
     expected = dense_indicator_distribution(circuits, 14)
     use_cpus(monkeypatch, 4)
     monkeypatch.setattr(truncshor.shor, "_POOL_MIN_M", inst.M)
-    assert np.array_equal(exact_distribution(inst, circuits).probabilities, expected)
+    assert np.array_equal(exact_distribution(inst, images).probabilities, expected)
     assert pools == [4]
     pools.clear()
     monkeypatch.setattr(truncshor.shor, "_FFT_BUDGET", 24 * inst.M - 1)
-    assert np.array_equal(exact_distribution(inst, circuits).probabilities, expected)
+    assert np.array_equal(exact_distribution(inst, images).probabilities, expected)
     assert pools == []
 
 
@@ -219,12 +227,12 @@ def test_exact_distribution_below_pool_size_starts_no_thread(monkeypatch):
     use_cpus(monkeypatch, 4)
     for N, a, m, trnc_lv in [(143, 5, 12, 10), (247, 2, 13, 18)]:
         inst = FactoringInstance(N=N, a=a, m=m)
-        circuits = synth_all_powers(build_orbit(inst), m, trnc_lv)
-        assert np.array_equal(
-            exact_distribution(inst, circuits).probabilities, dense_indicator_distribution(circuits, m)
-        )
+        circuits = truncate(synth_all_powers(build_orbit(inst), m), trnc_lv)
+        dist = exact_distribution(inst, work_images(circuits, inst.M))
+        assert np.array_equal(dist.probabilities, dense_indicator_distribution(circuits, m))
     inst = FactoringInstance(N=143, a=5, m=16)  # the largest M below the pool size
-    dist = exact_distribution(inst, synth_all_powers(build_orbit(inst), 16, 10))
+    circuits = truncate(synth_all_powers(build_orbit(inst), 16), 10)
+    dist = exact_distribution(inst, work_images(circuits, inst.M))
     assert dist.probabilities.sum() == pytest.approx(1.0)
 
 
@@ -246,7 +254,7 @@ def test_analytic_amplitude_against_direct_sum():
 @pytest.mark.parametrize("N", sorted(CASES))
 def test_distribution_matches_analytic(instances, circuit_sets, orbits, N):
     inst = instances[N]
-    dist = exact_distribution(inst, circuit_sets[N])
+    dist = exact_distribution(inst, work_images(circuit_sets[N], inst.M))
     oracle = analytic_distribution(orbits[N].r, inst.M)
     assert np.max(np.abs(dist.probabilities - oracle)) < 1e-9
 
@@ -254,7 +262,7 @@ def test_distribution_matches_analytic(instances, circuit_sets, orbits, N):
 def test_dense_backend_matches_fast(instances, circuit_sets):
     for N in (21, 33, 35):
         dense = run_shor_dense(instances[N], circuit_sets[N])
-        fast = exact_distribution(instances[N], circuit_sets[N])
+        fast = exact_distribution(instances[N], work_images(circuit_sets[N], instances[N].M))
         assert np.max(np.abs(dense.probabilities - fast.probabilities)) < 1e-9
         assert dense.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -277,7 +285,7 @@ def test_peak_bins(instances, circuit_sets, orbits):
     for N in (21, 33):
         inst = instances[N]
         r = orbits[N].r
-        p = exact_distribution(inst, circuit_sets[N]).probabilities
+        p = exact_distribution(inst, work_images(circuit_sets[N], inst.M)).probabilities
         top = set(np.argsort(p)[-r:])
         expected = {nearest_phase_bin(s, r, inst.M) for s in range(r)}
         assert top == expected
@@ -313,7 +321,7 @@ def test_eigenstate_s0_uniform(orbits):
 
 
 def test_sample_determinism(instances, circuit_sets):
-    dist = exact_distribution(instances[21], circuit_sets[21])
+    dist = exact_distribution(instances[21], work_images(circuit_sets[21], instances[21].M))
     s1 = sample(dist, 4096, seed=99)
     s2 = sample(dist, 4096, seed=99)
     assert np.array_equal(s1.counts, s2.counts)
@@ -355,7 +363,7 @@ def test_sample_requires_exact():
 
 def test_histogram_csv(instances, circuit_sets):
     inst = instances[21]
-    dist = exact_distribution(inst, circuit_sets[21])
+    dist = exact_distribution(inst, work_images(circuit_sets[21], inst.M))
     sampled = sample(dist, 4096, seed=5)
     text = histogram_csv(inst, dist, sampled)
     lines = text.strip().splitlines()
@@ -373,10 +381,10 @@ def test_histogram_csv(instances, circuit_sets):
 @pytest.mark.parametrize("sample_m", [4, 6])
 def test_histogram_csv_rejects_sample_of_other_width(instances, circuit_sets, sample_m):
     inst = instances[21]
-    dist = exact_distribution(inst, circuit_sets[21])
+    dist = exact_distribution(inst, work_images(circuit_sets[21], inst.M))
     other_inst = FactoringInstance(N=21, a=2, m=sample_m)
-    other_circuits = synth_all_powers(build_orbit(other_inst), sample_m)
-    other = sample(exact_distribution(other_inst, other_circuits), 100, seed=1)
+    other_images = work_images(synth_all_powers(build_orbit(other_inst), sample_m), other_inst.M)
+    other = sample(exact_distribution(other_inst, other_images), 100, seed=1)
     with pytest.raises(ValueError, match=f"m={sample_m}"):
         histogram_csv(inst, dist, other)
 
@@ -390,7 +398,8 @@ def choice_draws(dist, k, seed):
 @pytest.mark.parametrize("N, trnc_lv", [(21, 0), (33, 5), (143, 0), (143, 11), (247, 30)])
 def test_cdf_draws_equal_choice_on_exact(instances, orbits, N, trnc_lv):
     inst = instances[N]
-    dist = exact_distribution(inst, synth_all_powers(orbits[N], inst.m, trnc_lv))
+    circuits = truncate(synth_all_powers(orbits[N], inst.m), trnc_lv)
+    dist = exact_distribution(inst, work_images(circuits, inst.M))
     for seed in range(60):
         draws = dist.cdf.searchsorted(np.random.default_rng(seed).random(300), side="right")
         assert np.array_equal(draws, choice_draws(dist, 300, seed))
@@ -442,7 +451,7 @@ def test_phase_distribution_keeps_no_writable_alias():
 
 
 def test_exact_and_sampled_probabilities_are_read_only(instances, circuit_sets):
-    dist = exact_distribution(instances[21], circuit_sets[21])
+    dist = exact_distribution(instances[21], work_images(circuit_sets[21], instances[21].M))
     sampled = sample(dist, 100, seed=1)
     for d in (dist, sampled):
         assert not d.probabilities.flags.writeable
@@ -458,7 +467,7 @@ BAD_PROBABILITIES = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_PROBABILITIES))
-def test_phase_distribution_rejects_bad_probabilities(instances, circuit_sets, case):
+def test_phase_distribution_rejects_bad_probabilities(instances, case):
     def bad():
         return PhaseDistribution(m=5, probabilities=BAD_PROBABILITIES[case], provenance="exact")
 
@@ -467,4 +476,4 @@ def test_phase_distribution_rejects_bad_probabilities(instances, circuit_sets, c
     with pytest.raises(ValueError, match="probabilities"):
         sample(bad(), 100, seed=1)
     with pytest.raises(ValueError, match="probabilities"):
-        tries_until_factor(instances[21], circuit_sets[21], seed=1, dist=bad())
+        tries_until_factor(instances[21], bad(), seed=1)

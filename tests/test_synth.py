@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from truncshor import (
     synth_level,
     synth_me_operator,
     transition_order,
+    truncate,
 )
 
 from truncshor.synth import _flip_path
@@ -179,10 +181,10 @@ def test_matches_concatenation_oracle(orbits, N):
 
 def test_truncation_consistency(orbits):
     orbit = orbits[21]
-    full = synth_me_operator(orbit, 1, trnc_lv=0)
+    full = synth_me_operator(orbit, 1)
     assert full.version == "per_power"
     for k in range(1, orbit.r):
-        trunc = synth_me_operator(orbit, 1, trnc_lv=k)
+        trunc = truncate([full], k)[0]
         assert trunc.version == "truncated"
         assert trunc.trnc_lv == k
         assert trunc.levels[: orbit.r - k] == full.levels[: orbit.r - k]
@@ -190,17 +192,29 @@ def test_truncation_consistency(orbits):
 
 
 def test_truncation_keeps_first_transition(orbits):
-    circuit = synth_me_operator(orbits[21], 1, trnc_lv=5)
+    circuit = truncate([synth_me_operator(orbits[21], 1)], 5)[0]
     assert sum(1 for level in circuit.levels if level) == 1
     assert circuit.levels[0]
     assert apply_to_basis(circuit, 1) == 2
 
 
 def test_truncation_validation(orbits):
-    with pytest.raises(ValueError):
-        synth_me_operator(orbits[21], 1, trnc_lv=6)
-    with pytest.raises(ValueError):
-        synth_me_operator(orbits[21], 1, trnc_lv=-1)
+    circuits = [synth_me_operator(orbits[21], 1)]
+    for t in (6, -1):
+        with pytest.raises(ValueError, match=re.escape(f"trnc_lv={t} outside [0, 6)")):
+            truncate(circuits, t)
+
+
+def test_truncate_keeps_shared_circuits_shared(orbits):
+    circuits = synth_all_powers(orbits[21], 5)  # U^2 is U^8 and U^4 is U^16 (r = 6)
+    truncated = truncate(circuits, 2)
+    assert truncated[1] is truncated[3] and truncated[2] is truncated[4]
+    assert len({id(c) for c in truncated}) == 3
+    for full, trunc in zip(circuits, truncated):
+        assert trunc.levels == full.levels[:4] + ((), ())
+        assert (trunc.trnc_lv, trunc.version, trunc.power) == (2, "truncated", full.power)
+    assert all(a is b for a, b in zip(truncate(circuits, 0), circuits))
+    assert truncate([circuits[0]], 5)[0].levels == circuits[0].levels[:1] + ((),) * 5
 
 
 def test_synth_all_powers_shares_duplicates(orbits):
