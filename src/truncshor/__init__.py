@@ -31,6 +31,7 @@ from .experiments import (
     resolution_study,
     study_csv,
     study_json,
+    tries_ensemble,
     tries_until_factor,
     truncation_sweep,
 )

@@ -87,7 +87,8 @@ class LeveledCircuit:
             raise ValueError(f"unknown version {self.version!r}")
         if not 0 <= self.trnc_lv <= len(self.levels):
             raise ValueError(f"trnc_lv={self.trnc_lv} out of range")
-        if (width := _width(tuple(self.gates()))) > self.n_qubits:
+        object.__setattr__(self, "_gates", _Gates(self.gates()))
+        if (width := self._gates.width) > self.n_qubits:
             raise ValueError(f"a gate on qubit {width - 1} is outside {self.n_qubits} qubits")
         for level in self.levels[len(self.levels) - self.trnc_lv :]:
             if level:
@@ -118,11 +119,15 @@ class PermutationTable:
         return {"domain": list(self.domain), "image": list(self.image)}
 
 
-def _width(gates: tuple[Gate, ...]) -> int:
-    """The qubits the gates span: one more than the highest target or control."""
-    # a gate's controls are sorted by qubit, so the last one is its highest
-    return 1 + max([g.target for g in gates] + [g.controls[-1].qubit for g in gates if g.controls],
-                   default=-1)
+class _Gates(tuple):
+    """Gates in order, with ``width``, the qubits they span, counted once."""
+
+    def __new__(cls, gates: Iterable[Gate]) -> "_Gates":
+        seq = super().__new__(cls, gates)
+        # a gate's controls are sorted by qubit, so the last one is its highest
+        seq.width = 1 + max([g.target for g in seq]
+                            + [g.controls[-1].qubit for g in seq if g.controls], default=-1)
+        return seq
 
 
 def _planes(values: Iterable[int] | np.ndarray, n_qubits: int) -> list[int]:
@@ -156,9 +161,9 @@ def apply_gates(gates: Iterable[Gate], values: np.ndarray) -> np.ndarray:
     are unpacked together and weighted by their bits into one int64 of flips
     per state, so the extra memory is about 8 bytes per state and changed plane.
     """
-    gates = tuple(gates)
+    gates = gates if isinstance(gates, _Gates) else _Gates(gates)
     count = len(values)
-    planes = _planes(values, _width(gates))
+    planes = _planes(values, gates.width)
     start = list(planes)
     _apply_planes(gates, planes, (1 << count) - 1)
     changed = [q for q, (before, after) in enumerate(zip(start, planes)) if before != after]
@@ -185,7 +190,7 @@ def apply_to_basis_array(circuit: LeveledCircuit, values: Iterable[int] | np.nda
     values = np.array(values, dtype=np.int64)
     if values.size and not (0 <= values.min() and values.max() < 1 << circuit.n_qubits):
         raise ValueError(f"basis states outside {circuit.n_qubits} qubits")
-    return apply_gates(circuit.gates(), values)
+    return apply_gates(circuit._gates, values)
 
 
 def permutation_table(circuit: LeveledCircuit, domain: Iterable[int]) -> PermutationTable:

@@ -223,6 +223,9 @@ def cmd_study(args: argparse.Namespace) -> int:
     m_values = _parse_widths(args.m)
     instance = FactoringInstance(N=args.N, a=args.a, m=max(m_values))
     trnc_levels = _parse_range(args.trnc, "--trnc")
+    for option, value in (("--num-it", args.num_it), ("--max-tries", args.max_tries)):
+        if value < 1:
+            raise ValueError(f"{option} must be >= 1, got {value}")
     cells = resolution_study(
         instance,
         m_values,

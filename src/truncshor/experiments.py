@@ -24,6 +24,7 @@ from .shor import (
 from .synth import synth_all_powers, truncate
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 1 << 18  # doubles per block of draws: 2 MiB, however many seeds are open
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -58,42 +59,56 @@ class TryOutcome:
     factors: Optional[tuple[int, int]] = None
 
 
-def tries_until_factor(
-    instance: FactoringInstance, dist: PhaseDistribution, seed: int, max_tries: int = 500
-) -> TryOutcome:
-    """Draw measurements until one yields factors; report the 1-based count.
+def tries_ensemble(
+    cells: Sequence[tuple[FactoringInstance, PhaseDistribution]],
+    seeds: Sequence[int],
+    max_tries: int = 500,
+) -> list[list[TryOutcome]]:
+    """Tries until factor for every (instance, dist) cell and seed: ``outcomes[c][i]``.
 
-    Draws come from ``dist.cdf``, in chunks of 16, 32, 64, ... up to max_tries
-    in all: the same stream as one call for all of them, and fewer than
-    2 * tries + 16 values drawn.
-    Every winning l splits N as gcd(a**(r/2) -+ 1, N), since ``factor_mask``
-    accepts only odd multiples of r; when it accepts no outcome at all (odd r,
-    or a**(r/2) = -1 mod N) nothing is drawn. Returns max_tries with
-    capped=True when no draw succeeds.
+    Seed i makes one generator for every cell, read in chunks of 16, 32, 64, ...
+    up to max_tries in all (the same doubles as one call) until each cell has won
+    on it: fewer than 2 * tries + 16 values for its slowest cell. A cell wins at
+    the first ``dist.cdf`` outcome its ``factor_mask`` accepts, which splits N as
+    gcd(a**(r/2) -+ 1, N); a cell whose mask accepts none (odd r, or
+    a**(r/2) = -1 mod N) draws nothing. Seeds a cell never wins on are capped at max_tries.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
-    if dist.m != instance.m:
-        raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
-    mask = instance.factor_mask
-    if not mask.any():
-        return TryOutcome(tries=max_tries, capped=True)
-    rng = np.random.default_rng(seed)
+    for instance, dist in cells:
+        if dist.m != instance.m:
+            raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
+    outcomes = [[TryOutcome(tries=max_tries, capped=True)] * len(seeds) for _ in cells]
+    pending = np.array([[inst.factor_mask.any()] * len(seeds) for inst, _ in cells], dtype=bool)
+    rngs = [np.random.default_rng(seed) for seed in seeds] if pending.any() else []
+    pairs: dict[int, tuple[int, int]] = {}
     offset, size = 0, 16
-    while offset < max_tries:
+    while offset < max_tries and (drawn := np.flatnonzero(pending.any(axis=0))).size:
         size = min(size, max_tries - offset)
-        draws = dist.cdf.searchsorted(rng.random(size), side="right")
-        hits = mask[draws]
-        if hits.any():
-            i = int(hits.argmax())
-            return TryOutcome(
-                tries=offset + i + 1,
-                capped=False,
-                l=int(draws[i]),
-                factors=extract_factors(instance, instance.r),
-            )
+        step = max(1, _BLOCK // size)  # seeds per block: at most _BLOCK doubles, or one chunk
+        for group in (drawn[start : start + step] for start in range(0, drawn.size, step)):
+            block = np.stack([rngs[i].random(size) for i in group])
+            for c, (instance, dist) in enumerate(cells):
+                rows = pending[c, group]
+                draws = dist.cdf.searchsorted(block[rows], side="right")
+                hits = instance.factor_mask[draws]
+                first = hits.argmax(axis=1)
+                won = hits[np.arange(first.size), first]
+                winners = group[rows][won]
+                for i, j, l in zip(winners, first[won], draws[won, first[won]]):
+                    if c not in pairs:
+                        pairs[c] = extract_factors(instance, instance.r)
+                    outcomes[c][i] = TryOutcome(offset + int(j) + 1, False, int(l), pairs[c])
+                pending[c, winners] = False
         offset, size = offset + size, 2 * size
-    return TryOutcome(tries=max_tries, capped=True)
+    return outcomes
+
+
+def tries_until_factor(
+    instance: FactoringInstance, dist: PhaseDistribution, seed: int, max_tries: int = 500
+) -> TryOutcome:
+    """Draw measurements until one yields factors: ``tries_ensemble`` for one cell and seed."""
+    return tries_ensemble([(instance, dist)], [seed], max_tries)[0][0]
 
 
 @dataclass(frozen=True)
@@ -188,12 +203,10 @@ def resolution_study(
     out: dict[tuple[int, int], ResolutionCell] = {}
     for trnc_lv in trnc_levels:
         images = work_images(truncated[trnc_lv], 1 << len(full))
-        for inst_m in instances:
-            dist = exact_distribution(inst_m, images[: inst_m.M])
-            outcomes = [
-                tries_until_factor(inst_m, dist, derive_seed(base_seed, trnc_lv, it), max_tries)
-                for it in range(num_it)
-            ]
+        dists = [exact_distribution(inst_m, images[: inst_m.M]) for inst_m in instances]
+        seeds = [derive_seed(base_seed, trnc_lv, it) for it in range(num_it)]
+        ensemble = tries_ensemble(list(zip(instances, dists)), seeds, max_tries)
+        for inst_m, dist, outcomes in zip(instances, dists, ensemble):
             result = TriesResult(
                 instance=inst_m,
                 trnc_lv=trnc_lv,

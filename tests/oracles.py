@@ -5,9 +5,10 @@ second, independent way: a brute-force concatenated U^p, the dense
 2^(m+n) statevector backend, the scalar control image, the work images
 by doubling over ``Gate.apply`` alone, the closed-form
 eigenphase amplitudes and eigenvectors, the histogram CSV written one
-outcome at a time, the greedy control search over ``Control`` objects and
-as numpy reductions, the breadth-first flip-path search, the set-based
-synthesis level, and the QASM text printed from the lowered circuit.
+outcome at a time, the tries-until-factor run one seed at a time, the
+greedy control search over ``Control`` objects and as numpy reductions,
+the breadth-first flip-path search, the set-based synthesis level, and
+the QASM text printed from the lowered circuit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from truncshor.circuit import (
     lower_negative_controls,
     permutation_table,
 )
-from truncshor.modmath import FactoringInstance, Orbit
+from truncshor.experiments import TryOutcome
+from truncshor.modmath import FactoringInstance, Orbit, extract_factors
 from truncshor.shor import PhaseDistribution
 from truncshor.synth import ProtectedCollisionError
 
@@ -240,6 +242,44 @@ def histogram_csv_loop(
             ]
         )
     return buf.getvalue()
+
+
+def tries_until_factor_oracle(
+    instance: FactoringInstance, dist: PhaseDistribution, seed: int, max_tries: int = 500
+) -> TryOutcome:
+    """Draw measurements until one yields factors; report the 1-based count.
+
+    Draws come from ``dist.cdf``, in chunks of 16, 32, 64, ... up to max_tries
+    in all: the same stream as one call for all of them, and fewer than
+    2 * tries + 16 values drawn.
+    Every winning l splits N as gcd(a**(r/2) -+ 1, N), since ``factor_mask``
+    accepts only odd multiples of r; when it accepts no outcome at all (odd r,
+    or a**(r/2) = -1 mod N) nothing is drawn. Returns max_tries with
+    capped=True when no draw succeeds.
+    """
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
+    if dist.m != instance.m:
+        raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
+    mask = instance.factor_mask
+    if not mask.any():
+        return TryOutcome(tries=max_tries, capped=True)
+    rng = np.random.default_rng(seed)
+    offset, size = 0, 16
+    while offset < max_tries:
+        size = min(size, max_tries - offset)
+        draws = dist.cdf.searchsorted(rng.random(size), side="right")
+        hits = mask[draws]
+        if hits.any():
+            i = int(hits.argmax())
+            return TryOutcome(
+                tries=offset + i + 1,
+                capped=False,
+                l=int(draws[i]),
+                factors=extract_factors(instance, instance.r),
+            )
+        offset, size = offset + size, 2 * size
+    return TryOutcome(tries=max_tries, capped=True)
 
 
 def greedy_controls_oracle(fire_value, forbidden, n_qubits, target):

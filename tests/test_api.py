@@ -66,6 +66,7 @@ STAGES = {
     "work_images": ["circuits", "M"],
     "exact_distribution": ["instance", "images"],
     "tries_until_factor": ["instance", "dist", "seed", "max_tries"],
+    "tries_ensemble": ["cells", "seeds", "max_tries"],
 }
 
 

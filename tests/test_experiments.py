@@ -24,6 +24,7 @@ from truncshor import (
     analyze_measurement,
     extract_factors,
     synth_all_powers,
+    tries_ensemble,
     tries_until_factor,
     truncate,
     truncation_sweep,
@@ -31,6 +32,7 @@ from truncshor import (
 )
 
 from conftest import CASES
+from oracles import tries_until_factor_oracle
 
 
 def test_derive_seed_deterministic_and_spread():
@@ -323,3 +325,75 @@ def test_resolution_study_truncates_each_distinct_circuit_once(monkeypatch):
         residues = [(1 << q) % 20 for q in range(len(circuits))]
         for i, j in itertools.combinations(range(len(circuits)), 2):
             assert (circuits[i] is circuits[j]) == (residues[i] == residues[j])
+
+
+def ensemble_cells():
+    """N=21, a=4, which never wins, then N=143 at m = 8 and 10, truncated to 19 and 11 levels."""
+    uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32), provenance="exact")
+    cells = [(FactoringInstance(N=21, a=4, m=5), uniform)]
+    full = synth_all_powers(build_orbit(FactoringInstance(N=143, a=5, m=10)), 10)
+    for t in (19, 11):
+        images = work_images(truncate(full, t), 1024)
+        for m in (8, 10):
+            inst = FactoringInstance(N=143, a=5, m=m)
+            cells.append((inst, exact_distribution(inst, images[: inst.M])))
+    return cells
+
+
+ENSEMBLE_SEEDS = [derive_seed(3, 19, i) for i in range(150)]
+
+
+@pytest.mark.parametrize("max_tries", [1, 15, 16, 17, 48, 49, 500])
+def test_tries_ensemble_matches_one_seed_at_a_time(max_tries):
+    cells = ensemble_cells()
+    outcomes = tries_ensemble(cells, ENSEMBLE_SEEDS, max_tries)
+    assert outcomes == [
+        [tries_until_factor_oracle(inst, dist, seed, max_tries) for seed in ENSEMBLE_SEEDS]
+        for inst, dist in cells
+    ]
+    for o in (o for row in outcomes for o in row):
+        assert type(o.tries) is int and (o.l is None or type(o.l) is int)
+        assert o.capped or o.factors == (11, 13)
+    capped = [sum(o.capped for o in row) for row in outcomes]
+    assert capped[0] == len(ENSEMBLE_SEEDS)  # N=21, a=4 accepts no outcome
+    assert 0 < capped[1] < len(ENSEMBLE_SEEDS)  # N=143, m=8, 19 levels truncated: some never win
+
+
+def test_tries_ensemble_in_blocks_of_few_seeds(monkeypatch):
+    # 64 doubles a block: chunks of 16 and 32 draw 4 and 2 seeds at a time, larger chunks 1
+    monkeypatch.setattr(truncshor.experiments, "_BLOCK", 64)
+    cells = ensemble_cells()
+    assert tries_ensemble(cells, ENSEMBLE_SEEDS, 500) == [
+        [tries_until_factor_oracle(inst, dist, seed, 500) for seed in ENSEMBLE_SEEDS]
+        for inst, dist in cells
+    ]
+
+
+def test_tries_ensemble_checks_every_cell_before_any_generator(monkeypatch):
+    def no_rng(seed):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32), provenance="exact")
+    barren = [(FactoringInstance(N=21, a=4, m=5), uniform), (FactoringInstance(N=25, a=2, m=5), uniform)]
+    assert tries_ensemble(barren, [1, 2, 3], 9) == [[TryOutcome(tries=9, capped=True)] * 3] * 2
+    winning = (FactoringInstance(N=21, a=2, m=5), uniform)
+    with pytest.raises(ValueError, match="max_tries must be >= 1, got 0"):
+        tries_ensemble([winning], [1], 0)
+    narrow = PhaseDistribution(m=4, probabilities=np.full(16, 1 / 16), provenance="exact")
+    with pytest.raises(ValueError, match="m=4"):
+        tries_ensemble([winning, (FactoringInstance(N=21, a=2, m=5), narrow)], [1], 5)
+
+
+def test_resolution_study_makes_one_generator_per_seed_and_level(monkeypatch):
+    # both widths of a level read the same seeds, so one generator serves them
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    resolution_study(FactoringInstance(N=143, a=5, m=10), [8, 10], [0, 11, 19], 5, 3)
+    assert seeds == [derive_seed(3, t, i) for t in (0, 11, 19) for i in range(5)]
