@@ -8,8 +8,8 @@ fires on 0 instead of 1 and stands for the usual X-conjugation, which
 ``Gate.apply`` is the reference semantics; ``apply_gates`` evaluates gates
 bit-sliced: bit i of plane q is bit q of state i, and a gate is an AND per
 control and an XOR on its target's plane. It is the one compiled form: work
-images, certificates and the synthesis frontier all run it, each on the
-states it needs alone, never on all 2^n.
+images and certificates run it, each on the states they need alone, never
+on all 2^n.
 
 ``to_json_dict`` is the JSON schema. ``to_json`` writes the same text
 ``json.dumps`` makes of it, but directly, from per-control strings.
@@ -22,7 +22,7 @@ used everywhere, including serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -139,9 +139,8 @@ def _planes(values: Iterable[int] | np.ndarray, n_qubits: int) -> list[int]:
             for row in np.packbits(bits.T, axis=1, bitorder="little")]
 
 
-def _apply_planes(gates: Iterable[Gate], planes: list[int], full: int) -> int:
-    """The gate kernel, in place on bit planes; returns the slots (bits of ``full``) fired on."""
-    fired = 0
+def _apply_planes(gates: Iterable[Gate], planes: list[int], full: int) -> None:
+    """The gate kernel, in place on bit planes over the slots (bits) of ``full``."""
     for gate in gates:
         fires = full
         for c in gate.controls:
@@ -150,8 +149,6 @@ def _apply_planes(gates: Iterable[Gate], planes: list[int], full: int) -> int:
                 break
         else:
             planes[gate.target] ^= fires
-            fired |= fires
-    return fired
 
 
 def apply_gates(gates: Iterable[Gate], values: np.ndarray) -> np.ndarray:
@@ -205,46 +202,19 @@ def lower_negative_controls(circuit: LeveledCircuit) -> LeveledCircuit:
     for level in circuit.levels:
         new_level: list[Gate] = []
         for gate in level:
-            negated = [c.qubit for c in gate.controls if c.negated]
-            for q in negated:
-                new_level.append(Gate(target=q))
-            new_level.append(
-                Gate(
-                    target=gate.target,
-                    controls=tuple(Control(qubit=c.qubit) for c in gate.controls),
-                )
-            )
-            for q in negated:
-                new_level.append(Gate(target=q))
+            flips = [Gate(target=c.qubit) for c in gate.controls if c.negated]
+            positive = tuple(Control(qubit=c.qubit) for c in gate.controls)
+            new_level += [*flips, Gate(target=gate.target, controls=positive), *flips]
         new_levels.append(tuple(new_level))
-    return LeveledCircuit(
-        n_qubits=circuit.n_qubits,
-        power=circuit.power,
-        levels=tuple(new_levels),
-        trnc_lv=circuit.trnc_lv,
-        version=circuit.version,
-    )
+    return replace(circuit, levels=tuple(new_levels))
 
 
 def to_json_dict(circuit: LeveledCircuit) -> dict:
     """Normative JSON schema: zero-control gates serialize as "x", others "mcx"."""
-    levels = []
-    for level in circuit.levels:
-        out = []
-        for gate in level:
-            if not gate.controls:
-                out.append({"gate": "x", "target": gate.target})
-            else:
-                out.append(
-                    {
-                        "gate": "mcx",
-                        "target": gate.target,
-                        "controls": [
-                            {"q": c.qubit, "neg": c.negated} for c in gate.controls
-                        ],
-                    }
-                )
-        levels.append(out)
+    levels = [[{"gate": "mcx", "target": gate.target,
+                "controls": [{"q": c.qubit, "neg": c.negated} for c in gate.controls]}
+               if gate.controls else {"gate": "x", "target": gate.target} for gate in level]
+              for level in circuit.levels]
     return {
         "n_qubits": circuit.n_qubits,
         "power": circuit.power,
@@ -259,21 +229,11 @@ def from_json_dict(data: dict) -> LeveledCircuit:
     for level in data["levels"]:
         gates = []
         for g in level:
-            kind = g["gate"]
-            if kind == "x":
-                gates.append(Gate(target=g["target"]))
-            elif kind == "mcx":
-                gates.append(
-                    Gate(
-                        target=g["target"],
-                        controls=tuple(
-                            Control(qubit=c["q"], negated=c["neg"])
-                            for c in g.get("controls", ())
-                        ),
-                    )
-                )
-            else:
-                raise ValueError(f"unknown gate kind {kind!r}")
+            if g["gate"] not in ("x", "mcx"):
+                raise ValueError(f"unknown gate kind {g['gate']!r}")
+            controls = g.get("controls", ()) if g["gate"] == "mcx" else ()
+            gates.append(Gate(target=g["target"], controls=tuple(
+                Control(qubit=c["q"], negated=c["neg"]) for c in controls)))
         levels.append(tuple(gates))
     return LeveledCircuit(
         n_qubits=data["n_qubits"],

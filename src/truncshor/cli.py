@@ -25,7 +25,7 @@ from . import qasm
 from .experiments import resolution_study, study_csv, study_json, tries_until_factor
 from .modmath import FactoringInstance, NotCoprimeError, build_orbit
 from .shor import exact_distribution, histogram_csv, sample, work_images
-from .synth import ProtectedCollisionError, synth_all_powers, synth_powers, truncate
+from .synth import ProtectedCollisionError, check_trnc_lv, synth_all_powers, synth_powers, truncate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -135,6 +135,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     orbit = build_orbit(FactoringInstance(N=args.N, a=args.a, m=1))
     powers = _parse_powers(args.powers)
+    check_trnc_lv(args.trnc_lv, orbit.r)
     circuits = truncate(synth_powers(orbit, powers), args.trnc_lv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -167,7 +168,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.shots and args.seed is None:
         raise ValueError("--seed is required when --shots > 0")
     instance = FactoringInstance(N=args.N, a=args.a, m=args.m)
-    circuits = truncate(synth_all_powers(build_orbit(instance), args.m), args.trnc_lv)
+    orbit = build_orbit(instance)
+    check_trnc_lv(args.trnc_lv, orbit.r)
+    circuits = truncate(synth_all_powers(orbit, args.m), args.trnc_lv)
     dist = exact_distribution(instance, work_images(circuits, instance.M))
     sampled = sample(dist, args.shots, args.seed) if args.shots else None
     text = histogram_csv(instance, dist, sampled)
@@ -188,7 +191,9 @@ def cmd_factor(args: argparse.Namespace) -> int:
         return _report_common_factor(args, e, tries=0)
     if args.max_tries < 1:
         raise ValueError(f"--max-tries must be >= 1, got {args.max_tries}")
-    circuits = truncate(synth_all_powers(build_orbit(instance), args.m), args.trnc_lv)
+    orbit = build_orbit(instance)
+    check_trnc_lv(args.trnc_lv, orbit.r)
+    circuits = truncate(synth_all_powers(orbit, args.m), args.trnc_lv)
     dist = exact_distribution(instance, work_images(circuits, instance.M))
     outcome = tries_until_factor(instance, dist, seed=args.seed, max_tries=args.max_tries)
     if outcome.capped:

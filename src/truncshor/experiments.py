@@ -21,7 +21,7 @@ from .modmath import FactoringInstance, Orbit, build_orbit, extract_factors
 from .shor import (
     EigenphaseSet, PhaseDistribution, exact_distribution, nearest_phase_bin, work_images,
 )
-from .synth import synth_all_powers, truncate
+from .synth import check_trnc_lv, synth_all_powers, truncate
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1 << 18  # doubles per block of draws: 2 MiB, however many seeds are open
@@ -187,9 +187,9 @@ def resolution_study(
     The powers are synthesized once, at the largest m: the circuit for
     2**q does not depend on m, and truncation only empties trailing levels.
     Each level's work images are computed once, at the largest m, and each
-    width reads their prefix. Every width, ``num_it`` and ``max_tries`` are
-    checked before anything is synthesized, every level before any cell is
-    computed. Iteration i at level t uses seed derive_seed(base_seed, t, i).
+    width reads their prefix. Every width, every level, ``num_it`` and
+    ``max_tries`` are checked before anything is synthesized. Iteration i at
+    level t uses seed derive_seed(base_seed, t, i).
     """
     if num_it < 1:
         raise ValueError(f"num_it must be >= 1, got {num_it}")
@@ -198,6 +198,8 @@ def resolution_study(
     instances = [replace(instance, m=m) for m in m_values]
     trnc_levels = list(trnc_range)
     orbit = build_orbit(instance)
+    for t in trnc_levels:
+        check_trnc_lv(t, orbit.r)
     full = synth_all_powers(orbit, max((inst.m for inst in instances), default=0))
     truncated = {t: truncate(full, t) for t in trnc_levels}
     out: dict[tuple[int, int], ResolutionCell] = {}

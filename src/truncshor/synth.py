@@ -15,14 +15,15 @@ Two constraint tiers govern gate construction:
   partner of the current step, which a NOT gate unavoidably swaps with
   the running value. That displacement is tracked, never lost.
 
-Both searches work on Python integers used as bit sets. Each level gives
-every avoided value a slot in n bit planes (bit i of plane q is bit q of
-the value in slot i), so a step's greedy control search is a few ORs
-over the planes. A blocked direct path is rerouted through distance
-layers grown from the target as 2^n-bit sets of basis values. The
-trajectories are kept as bit planes across levels too: each level runs
-the circuit module's gate kernel on them, and only the trajectories whose
-slot bits changed are read back.
+Both searches work on Python integers used as bit sets. One trajectory
+state per operator gives every orbit state's trajectory a slot in n bit
+planes (bit i of plane q is bit q of the value in slot i), built once and
+updated gate by gate, so a step's greedy control search is a few ORs over
+the planes. A displaced twin's slot moves with it; the source's own slot
+keeps its starting value, still avoided, until the level ends. A blocked
+direct path is rerouted through distance layers grown from the target as
+2^n-bit sets of basis values, within one free-value mask that is built at
+the first blocked level and loses one bit per sealed output after that.
 
 ``truncate`` then empties the last ``trnc_lv`` levels of synthesized circuits.
 """
@@ -34,14 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .circuit import (
-    Control,
-    Gate,
-    LeveledCircuit,
-    VERSION_TRUNCATED,
-    _apply_planes,
-    _planes,
-)
+from .circuit import VERSION_TRUNCATED, Control, Gate, LeveledCircuit, _planes
 from .modmath import CycleDecomposition, Orbit, cycle_decomposition
 
 
@@ -94,10 +88,8 @@ def minimize_controls(
     forbidden. Deterministic; with nothing to distinguish, the result is
     the empty control set.
     """
-    values = list(forbidden)
-    return _greedy_controls(
-        _planes(values, n_qubits), (1 << len(values)) - 1, fire_value, n_qubits, target
-    )
+    state = _Trajectories(forbidden, (), n_qubits)
+    return _greedy_controls(state.planes, state.slots, fire_value, n_qubits, target)
 
 
 # _LOW_HALVES[n][b]: the 2^n-bit set of values whose bit b is 0. A pure
@@ -119,45 +111,104 @@ def _low_halves(n_qubits: int) -> tuple[int, ...]:
     return _LOW_HALVES[n_qubits]
 
 
-def _flip_path(current: int, target: int, blocked: frozenset[int], n_qubits: int) -> list[int]:
-    """Shortest single-bit-flip path from current to target avoiding blocked values.
+class _Trajectories:
+    """One synthesis state: avoided values as slots in n bit planes, and the sealed values.
 
-    The result is the lexicographically least shortest path (by flipped
-    bit), the one a breadth-first search from current with neighbors in
-    ascending bit order returns. When the path that flips the differing
-    bits in ascending index order is unobstructed, it is the answer.
-    Otherwise the distance layers from target over the unblocked values
-    are grown as 2^n-bit sets until one borders current (which may itself
-    be blocked), and the path walks back down them, taking the lowest bit
-    that steps into the next layer.
+    Bit i of ``planes[q]`` is bit q of the value in ``slot``-numbered slot i.
+    ``free``, the 2^n-bit set of unsealed values, is built for the first
+    blocked direct path and kept in step by ``settle`` after that.
     """
-    path = [current]
-    for b in range(n_qubits):
-        if (current ^ target) >> b & 1:
-            path.append(path[-1] ^ (1 << b))
-    if blocked.isdisjoint(path[1:]):
-        return path
-    low = _low_halves(n_qubits)
-    marks = np.zeros(1 << n_qubits, dtype=bool)
-    marks[[v for v in blocked if 0 <= v < len(marks)]] = True  # values outside never lie on a path
-    free = ~int.from_bytes(np.packbits(marks, bitorder="little").tobytes(), "little")
-    layers = [1 << target & free]
-    reached = layers[0]
-    while layers[-1]:
-        edge = 0
-        for b, half in enumerate(low):
-            edge |= (layers[-1] & half) << (1 << b) | (layers[-1] >> (1 << b)) & half
-        if edge >> current & 1:
-            path = [current]
-            for layer in reversed(layers):
-                path.append(next(w for w in (path[-1] ^ (1 << b) for b in range(n_qubits))
-                                 if layer >> w & 1))
+
+    def __init__(self, values: Iterable[int], sealed: Iterable[int], n_qubits: int) -> None:
+        self.slot = {v: i for i, v in enumerate(dict.fromkeys(values))}
+        self.planes = _planes(list(self.slot), n_qubits)
+        self.slots = (1 << len(self.slot)) - 1
+        self.sealed = set(sealed)
+        self.free: Optional[int] = None
+        self.n_qubits = n_qubits
+
+    def path(self, current: int, target: int) -> list[int]:
+        """Shortest single-bit-flip path from current to target avoiding sealed values.
+
+        The result is the lexicographically least shortest path (by flipped
+        bit), the one a breadth-first search from current with neighbors in
+        ascending bit order returns. When the path that flips the differing
+        bits in ascending index order is unobstructed, it is the answer.
+        Otherwise the distance layers from target over the free values are
+        grown as 2^n-bit sets until one borders current (which may itself be
+        sealed), and the path walks back down them, taking the lowest bit
+        that steps into the next layer.
+        """
+        n_qubits = self.n_qubits
+        path = [current]
+        for b in range(n_qubits):
+            if (current ^ target) >> b & 1:
+                path.append(path[-1] ^ (1 << b))
+        if self.sealed.isdisjoint(path[1:]):
             return path
-        layers.append(edge & free & ~reached)
-        reached |= layers[-1]
-    raise ProtectedCollisionError(
-        f"no path {current} -> {target} around {len(blocked)} protected values"
-    )
+        if self.free is None:
+            marks = np.zeros(1 << n_qubits, dtype=bool)
+            # values outside the register never lie on a path
+            marks[[v for v in self.sealed if 0 <= v < len(marks)]] = True
+            self.free = ~int.from_bytes(np.packbits(marks, bitorder="little").tobytes(), "little")
+        low = _low_halves(n_qubits)
+        layers = [1 << target & self.free]
+        reached = layers[0]
+        while layers[-1]:
+            edge = 0
+            for b, half in enumerate(low):
+                edge |= (layers[-1] & half) << (1 << b) | (layers[-1] >> (1 << b)) & half
+            if edge >> current & 1:
+                path = [current]
+                for layer in reversed(layers):
+                    path.append(next(w for w in (path[-1] ^ (1 << b) for b in range(n_qubits))
+                                     if layer >> w & 1))
+                return path
+            layers.append(edge & self.free & ~reached)
+            reached |= layers[-1]
+        raise ProtectedCollisionError(
+            f"no path {current} -> {target} around {len(self.sealed)} protected values"
+        )
+
+    def level(self, current: int, target: int) -> list[Gate]:
+        """The gates of one level, current -> target, moving each displaced slot with its value.
+
+        Each step's controls exclude every slot but those of the running
+        value u and its flip partner v. The NOT swaps u and v, so a slot at v
+        moves to u. The slot at current, the source's own, keeps that value
+        for the whole level and stays avoided after the first step.
+        """
+        planes, slot, n_qubits = self.planes, self.slot, self.n_qubits
+        gates: list[Gate] = []
+        path = self.path(current, target)
+        for u, v in zip(path, path[1:]):
+            bit = (u ^ v).bit_length() - 1
+            slots = self.slots
+            for w in (u, v):
+                if w in slot:
+                    slots &= ~(1 << slot[w])
+            gates.append(Gate(target=bit, controls=_greedy_controls(planes, slots, u, n_qubits, bit)))
+            if v in slot:
+                i = slot[u] = slot.pop(v)
+                planes[bit] ^= 1 << i
+        return gates
+
+    def settle(self, i: int, current: int, target: int) -> None:
+        """End a level: slot i, its source, moves from current to target, which is sealed."""
+        if self.slot[current] == i:  # no twin was displaced onto current
+            del self.slot[current]
+        for q in range(self.n_qubits):
+            if (current ^ target) >> q & 1:
+                self.planes[q] ^= 1 << i
+        self.slot[target] = i
+        self.sealed.add(target)
+        if self.free is not None:
+            self.free &= ~(1 << target)
+
+
+def _flip_path(current: int, target: int, blocked: Iterable[int], n_qubits: int) -> list[int]:
+    """Shortest single-bit-flip path from current to target avoiding blocked values."""
+    return _Trajectories((), blocked, n_qubits).path(current, target)
 
 
 def synth_level(
@@ -176,35 +227,13 @@ def synth_level(
     caller's trajectory tracking picks it up. Returns [] when current
     already equals target (an automatic blank level).
 
-    The avoided values get one slot each in n bit planes, built once per
-    level; each step's control search runs on the planes, and a displaced
-    twin is tracked by flipping its slot's bit in the plane of the step.
+    One level of ``_Trajectories`` over the avoided values.
     """
     protected = frozenset(protected)
     if current in protected or target in protected:
         raise ValueError("endpoints may not be protected")
-    path = _flip_path(current, target, protected, n_qubits)
-    if len(path) == 1:
-        return []
-    slot = {v: i for i, v in enumerate(dict.fromkeys(protected if avoid is None else avoid))}
-    planes = _planes(list(slot), n_qubits)
-    live = (1 << len(slot)) - 1
-    gates: list[Gate] = []
-    for u, v in zip(path, path[1:]):
-        bit = (u ^ v).bit_length() - 1
-        slots = live
-        for w in (u, v):
-            if w in slot:
-                slots &= ~(1 << slot[w])
-        gates.append(Gate(target=bit, controls=_greedy_controls(planes, slots, u, n_qubits, bit)))
-        if v in slot:  # v's value moves to u: it takes v's slot unless u holds one already
-            i = slot.pop(v)
-            if u in slot:
-                live &= ~(1 << i)
-            else:
-                slot[u] = i
-                planes[bit] ^= 1 << i
-    return gates
+    avoid = protected if avoid is None else avoid
+    return _Trajectories(avoid, protected, n_qubits).level(current, target)
 
 
 def transition_order(decomp: CycleDecomposition) -> list[tuple[int, int]]:
@@ -217,6 +246,12 @@ def transition_order(decomp: CycleDecomposition) -> list[tuple[int, int]]:
     return out
 
 
+def check_trnc_lv(trnc_lv: int, r: int) -> None:
+    """Raise ValueError unless 0 <= trnc_lv < r, so that at least one level is kept."""
+    if not 0 <= trnc_lv < r:
+        raise ValueError(f"trnc_lv={trnc_lv} outside [0, {r})")
+
+
 def truncate(circuits: Sequence[LeveledCircuit], trnc_lv: int) -> list[LeveledCircuit]:
     """The circuits with their last trnc_lv levels emptied (0 gives them back as they are).
 
@@ -225,8 +260,7 @@ def truncate(circuits: Sequence[LeveledCircuit], trnc_lv: int) -> list[LeveledCi
     done: dict[int, LeveledCircuit] = {}
     for c in circuits:
         r = c.num_levels
-        if not 0 <= trnc_lv < r:
-            raise ValueError(f"trnc_lv={trnc_lv} outside [0, {r})")
+        check_trnc_lv(trnc_lv, r)
         if trnc_lv and id(c) not in done:
             done[id(c)] = replace(c, levels=c.levels[: r - trnc_lv] + ((),) * trnc_lv,
                                   trnc_lv=trnc_lv, version=VERSION_TRUNCATED)
@@ -234,24 +268,16 @@ def truncate(circuits: Sequence[LeveledCircuit], trnc_lv: int) -> list[LeveledCi
 
 
 def synth_me_operator(orbit: Orbit, p: int) -> LeveledCircuit:
-    """Synthesize U**p on the orbit, one level per transition."""
+    """Synthesize U**p on the orbit, one level per transition; slot i follows orbit.states[i]."""
     n = orbit.instance.n
-    decomp = cycle_decomposition(orbit, p)
     position = {s: i for i, s in enumerate(orbit.states)}
-    frontier = list(orbit.states)  # trajectories of the orbit states, also kept as planes
-    planes = _planes(frontier, n)
-    slots = (1 << len(frontier)) - 1
-    protected: set[int] = set()
+    state = _Trajectories(orbit.states, (), n)
     levels: list[tuple[Gate, ...]] = []
-    for src, tgt in transition_order(decomp):
-        gates = synth_level(frontier[position[src]], tgt, protected, n, avoid=frontier)
-        levels.append(tuple(gates))
-        moved = _apply_planes(gates, planes, slots)
-        while moved:  # re-read only the trajectories the level may have moved
-            i = (moved & -moved).bit_length() - 1
-            frontier[i] = sum((plane >> i & 1) << q for q, plane in enumerate(planes))
-            moved &= moved - 1
-        protected.add(tgt)
+    for src, tgt in transition_order(cycle_decomposition(orbit, p)):
+        i = position[src]
+        current = sum((plane >> i & 1) << q for q, plane in enumerate(state.planes))
+        levels.append(tuple(state.level(current, tgt)))
+        state.settle(i, current, tgt)
     return LeveledCircuit(n_qubits=n, power=p, levels=tuple(levels))
 
 

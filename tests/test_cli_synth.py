@@ -1,8 +1,13 @@
-"""synth: certificates come from the shared circuits, and --powers names itself when malformed."""
+"""synth: certificates come from the shared circuits, --powers names itself when malformed, and
+an out-of-range truncation level exits before any synthesis, in every command that takes one."""
 
 import json
 
+import pytest
+
 import truncshor.circuit
+import truncshor.cli
+import truncshor.experiments
 from truncshor import FactoringInstance, build_orbit
 from truncshor.cli import main
 
@@ -28,13 +33,39 @@ def test_synth_certificates_build_one_table_per_distinct_circuit(tmp_path, capsy
     capsys.readouterr()
 
 
-def test_synth_rejects_out_of_range_truncation_and_writes_nothing(tmp_path, capsys):
+def _no_synthesis(*args):
+    raise AssertionError("synthesis ran before the truncation level was checked")
+
+
+def test_synth_rejects_out_of_range_truncation_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(truncshor.cli, "synth_powers", _no_synthesis)
     out_dir = tmp_path / "circuits"
     argv = ["synth", "--N", "21", "--a", "2", "--powers", "1:16", "--out", str(out_dir)]
     for t in ("6", "-1"):
         assert main([*argv, "--trnc-lv", t]) == 2
         assert capsys.readouterr().err == f"error: trnc_lv={t} outside [0, 6)\n"
         assert not out_dir.exists()
+    argv = ["synth", "--N", "4087", "--a", "3", "--powers", "1:2048", "--out", str(out_dir)]
+    assert main([*argv, "--trnc-lv", "500"]) == 2
+    assert capsys.readouterr().err == "error: trnc_lv=500 outside [0, 110)\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("t", ["6", "-1"])
+@pytest.mark.parametrize("command, extra", [
+    ("run", ["--m", "5", "--trnc-lv"]),
+    ("factor", ["--m", "5", "--seed", "1", "--trnc-lv"]),
+    ("study", ["--m", "5", "--seed", "1", "--out", "s.csv", "--trnc"]),
+])
+def test_out_of_range_truncation_exits_before_any_synthesis(
+    tmp_path, capsys, monkeypatch, command, extra, t
+):
+    for module in (truncshor.cli, truncshor.experiments):
+        monkeypatch.setattr(module, "synth_all_powers", _no_synthesis)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--N", "21", "--a", "2", *extra, t]) == 2
+    assert capsys.readouterr() == ("", f"error: trnc_lv={t} outside [0, 6)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_rejects_non_integer_power(tmp_path, capsys):

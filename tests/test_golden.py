@@ -5,7 +5,7 @@ the study CSV/JSON pair is what ``study`` writes; the histogram CSVs are what
 ``run`` writes, one of them at n = 24; the JSON lines of ``--quiet factor`` pin the tries stream
 (``tries`` and ``l_measured``) and the exit codes. Any change to synthesis, truncation, sampling or the row
 schema shows up here as a digest mismatch. The n = 10-12 moduli (N = 1001,
-N = 4087) reach control patterns the five small moduli do not.
+N = 4087, N = 3127) reach control patterns the five small moduli do not.
 """
 
 import contextlib
@@ -62,6 +62,10 @@ CIRCUIT_4087_DIGESTS = {
     2048: "2295d3e2de96704406bc0b180162377d66dbfd3b405039f6bf1254e60b4aea36",
 }
 
+# sha256 of to_json(c, indent=2) for N=3127, a=2, p=1 (n=12, r=1508): 810 of its levels
+# take the blocked-path search, which the r <= 110 digests above barely reach.
+CIRCUIT_3127_DIGEST = "ee7d10ecec8439f668cf0692dc006fd5545d520f5ffc9a19a17e55680847b278"
+
 # sha256 of the concatenated to_qasm3 text for N=1001, a=2 (n=10, r=60), p = 2^0 .. 2^11.
 QASM_1001_DIGEST = "182164c5c1b760804aad069ae6c801d3d6b815d21c20786616b7c82e16ec9853"
 
@@ -111,6 +115,11 @@ def test_circuit_json_bytes(orbits, N, t):
 def test_circuit_json_bytes_n12(p):
     (circuit,) = synth_powers(build_orbit(FactoringInstance(N=4087, a=3, m=1)), [p])
     assert sha256(to_json(circuit, indent=2)) == CIRCUIT_4087_DIGESTS[p]
+
+
+def test_circuit_json_bytes_long_orbit():
+    (circuit,) = synth_powers(build_orbit(FactoringInstance(N=3127, a=2, m=1)), [1])
+    assert sha256(to_json(circuit, indent=2)) == CIRCUIT_3127_DIGEST
 
 
 def test_qasm_bytes_n10():

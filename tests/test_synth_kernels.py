@@ -1,15 +1,17 @@
 """The bit-plane control search and the layered flip-path search against their oracles.
 
 ``minimize_controls`` and every synthesis level run on integer bit planes,
-and ``_flip_path`` routes around blocked values with 2^n-bit layer sets;
-the oracles in ``tests/oracles.py`` are the scalar greedy search, the
-breadth-first search and the set-based level loop.
+kept once per operator, and ``_flip_path`` routes around blocked values with
+2^n-bit layer sets; the oracles in ``tests/oracles.py`` are the scalar greedy
+search, the breadth-first search and the set-based level loop.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
+import truncshor.circuit
 import truncshor.synth
 from truncshor import (
     Control,
@@ -19,6 +21,7 @@ from truncshor import (
     minimize_controls,
     synth_all_powers,
     synth_level,
+    synth_me_operator,
 )
 from truncshor.synth import _flip_path
 
@@ -116,20 +119,81 @@ def test_synth_level_displaces_avoided_twins_like_the_set_loop():
 LEVEL_CASES = CASES | {1001: (2, 12), 4087: (3, 12)}
 
 
+def _slot_values(state):
+    """The value in every slot of a synthesis state, read from its bit planes."""
+    return [sum((plane >> i & 1) << q for q, plane in enumerate(state.planes))
+            for i in range(state.slots.bit_length())]
+
+
 @pytest.mark.parametrize("N", sorted(LEVEL_CASES))
 def test_every_synthesized_level_matches_set_oracle(monkeypatch, N):
     a, m = LEVEL_CASES[N]
     orbit = build_orbit(FactoringInstance(N=N, a=a, m=1))
-    level = truncshor.synth.synth_level
+    level = truncshor.synth._Trajectories.level
     compared = []
 
-    def both(current, target, protected, n_qubits, avoid=None):
-        gates = level(current, target, protected, n_qubits, avoid)
-        compared.append(gates == synth_level_oracle(current, target, protected, n_qubits, avoid))
+    def both(state, current, target):
+        avoid, protected = _slot_values(state), set(state.sealed)
+        gates = level(state, current, target)
+        compared.append(gates == synth_level_oracle(current, target, protected,
+                                                    state.n_qubits, avoid))
         return gates
 
-    monkeypatch.setattr(truncshor.synth, "synth_level", both)
+    monkeypatch.setattr(truncshor.synth._Trajectories, "level", both)
     circuits = synth_all_powers(orbit, m)
     distinct = {id(c): c for c in circuits}.values()
     assert len(compared) == orbit.r * len(distinct)
     assert all(compared)
+
+
+def test_synthesis_builds_planes_once_per_operator_and_never_replays(monkeypatch):
+    orbit = build_orbit(FactoringInstance(N=4087, a=3, m=1))
+    planes = truncshor.synth._planes
+    builds = []
+
+    def counting(values, n_qubits):
+        builds.append(len(values))
+        return planes(values, n_qubits)
+
+    def replay(*args):
+        raise AssertionError("synthesis replayed a level through _apply_planes")
+
+    monkeypatch.setattr(truncshor.synth, "_planes", counting)
+    monkeypatch.setattr(truncshor.circuit, "_apply_planes", replay)
+    assert not hasattr(truncshor.synth, "_apply_planes")
+    for p in (1, 2, 8):
+        synth_me_operator(orbit, p)
+    assert builds == [orbit.r] * 3
+
+
+def test_blocked_levels_keep_the_free_mask_in_step_with_the_sealed_set(monkeypatch):
+    # N=3127 (r=1508): hundreds of levels take the blocked-path search
+    orbit = build_orbit(FactoringInstance(N=3127, a=2, m=1))
+    settle = truncshor.synth._Trajectories.settle
+    states, cleared = [], []
+
+    def checked(state, i, current, target):
+        settle(state, i, current, target)
+        if not states:
+            states.append(state)
+        if state.free is not None:
+            cleared.append(not state.free >> target & 1)
+
+    monkeypatch.setattr(truncshor.synth._Trajectories, "settle", checked)
+    synth_me_operator(orbit, 1)
+    (state,) = states
+    assert 0 < len(cleared) < orbit.r and all(cleared)
+    size = 1 << state.n_qubits
+    assert state.free & (1 << size) - 1 == sum(1 << v for v in range(size) if v not in state.sealed)
+
+
+def test_unblocked_wide_operator_never_builds_the_free_mask():
+    orbit = build_orbit(FactoringInstance(N=16777215, a=2, m=1))  # n = 24, r = 24
+    tracemalloc.start()
+    try:
+        circuit = synth_me_operator(orbit, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert circuit.num_levels == orbit.r
+    assert peak < 1 << 20  # a 2^24-bit mask alone is 2 MiB
