@@ -55,7 +55,6 @@ from .modmath import (
 )
 from .qasm import to_qasm3
 from .shor import (
-    EigenphaseSet,
     PhaseDistribution,
     exact_distribution,
     histogram_csv,

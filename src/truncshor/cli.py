@@ -67,14 +67,15 @@ def _parse_int(token: str, option: str, spec: str) -> int:
         raise ValueError(f"{option} takes integers, got {spec!r}") from None
 
 
-def _parse_range(spec: str, option: str = "range") -> list[int]:
+def _parse_range(spec: str, option: str = "range") -> range:
     """'lo:hi' inclusive, or a single integer; a bad token names the option."""
     if ":" in spec:
         lo, hi = (_parse_int(tok, option, spec) for tok in spec.split(":", 1))
         if hi < lo:
             raise ValueError(f"empty range {spec!r}")
-        return list(range(lo, hi + 1))
-    return [_parse_int(spec, option, spec)]
+    else:
+        lo = hi = _parse_int(spec, option, spec)
+    return range(lo, hi + 1)
 
 
 def _parse_powers(spec: str) -> list[int]:
@@ -167,13 +168,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValueError(f"--shots must be >= 0, got {args.shots}")
     if args.shots and args.seed is None:
         raise ValueError("--seed is required when --shots > 0")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     instance = FactoringInstance(N=args.N, a=args.a, m=args.m)
     orbit = build_orbit(instance)
     check_trnc_lv(args.trnc_lv, orbit.r)
     circuits = truncate(synth_all_powers(orbit, args.m), args.trnc_lv)
     dist = exact_distribution(instance, work_images(circuits, instance.M))
-    sampled = sample(dist, args.shots, args.seed) if args.shots else None
-    text = histogram_csv(instance, dist, sampled)
+    counts = sample(dist, args.shots, args.seed) if args.shots else None
+    text = histogram_csv(instance, dist, counts)
     if args.out:
         _write_atomic(Path(args.out), text)
         rows = text.count("\n") - 1
@@ -191,6 +194,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
         return _report_common_factor(args, e, tries=0)
     if args.max_tries < 1:
         raise ValueError(f"--max-tries must be >= 1, got {args.max_tries}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     orbit = build_orbit(instance)
     check_trnc_lv(args.trnc_lv, orbit.r)
     circuits = truncate(synth_all_powers(orbit, args.m), args.trnc_lv)

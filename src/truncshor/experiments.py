@@ -13,14 +13,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass, replace
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .modmath import FactoringInstance, Orbit, build_orbit, extract_factors
-from .shor import (
-    EigenphaseSet, PhaseDistribution, exact_distribution, nearest_phase_bin, work_images,
-)
+from .shor import PhaseDistribution, exact_distribution, nearest_phase_bin, work_images
 from .synth import check_trnc_lv, synth_all_powers, truncate
 
 _MASK64 = (1 << 64) - 1
@@ -159,7 +158,7 @@ def peak_presence(
     r = orbit.r
     M = instance.M
     out: dict[int, bool] = {}
-    for s in EigenphaseSet.from_period(r).factor_producing:
+    for s in (k for k in range(r) if gcd(k, r) == 1):
         center = nearest_phase_bin(s, r, M)
         bins = [(center + d) % M for d in (-1, 0, 1)]
         out[s] = sum(float(dist.probabilities[l]) for l in bins if instance.factor_mask[l]) > 2.0 / M
@@ -196,10 +195,11 @@ def resolution_study(
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     instances = [replace(instance, m=m) for m in m_values]
-    trnc_levels = list(trnc_range)
     orbit = build_orbit(instance)
-    for t in trnc_levels:
+    trnc_levels = []
+    for t in trnc_range:
         check_trnc_lv(t, orbit.r)
+        trnc_levels.append(t)
     full = synth_all_powers(orbit, max((inst.m for inst in instances), default=0))
     truncated = {t: truncate(full, t) for t in trnc_levels}
     out: dict[tuple[int, int], ResolutionCell] = {}

@@ -154,32 +154,19 @@ class CycleDecomposition:
 def cycle_decomposition(orbit: Orbit, p: int) -> CycleDecomposition:
     """Partition the orbit under stepping by p.
 
-    Cycle order: candidates f(0), f(1), ... are scanned in orbit order and
-    each not-yet-covered candidate heads the next cycle; within a cycle,
-    states follow the step map. Stepping by a multiple of r gives r
-    singleton cycles (the identity).
+    The cycles are the cosets of s = p mod r in Z_r, g = gcd(s, r) of them:
+    cycle c, for c = 0 .. g-1, is f(c), f(c + s), f(c + 2s), ... (r/g states,
+    indices mod r). Each cycle is headed by its first state in orbit order,
+    and the cycles come in the order of their heads f(0) .. f(g-1). A
+    multiple of r (s = 0, g = r) gives r singleton cycles, the identity.
     """
     if p < 1:
         raise ValueError(f"power must be >= 1, got {p}")
-    states = orbit.states
-    r = orbit.r
+    states, r = orbit.states, orbit.r
     step = p % r
-    if step == 0:
-        return CycleDecomposition(power=p, cycles=tuple((s,) for s in states))
-    index = {s: i for i, s in enumerate(states)}
-    covered: set[int] = set()
-    cycles: list[tuple[int, ...]] = []
-    for head in states:
-        if head in covered:
-            continue
-        cycle = [head]
-        k = (index[head] + step) % r
-        while states[k] != head:
-            cycle.append(states[k])
-            k = (k + step) % r
-        cycles.append(tuple(cycle))
-        covered.update(cycle)
-    return CycleDecomposition(power=p, cycles=tuple(cycles))
+    g = gcd(step, r)
+    cycles = tuple(tuple(states[(c + j * step) % r] for j in range(r // g)) for c in range(g))
+    return CycleDecomposition(power=p, cycles=cycles)
 
 
 def continued_fraction(l: int, M: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Phase-estimation pipeline: work images, exact and sampled distributions.
+"""Phase-estimation pipeline: work images, the exact distribution and shot counts.
 
 The inverse QFT is never materialized as gates. Work images w(k) are
 computed for all control values k, grouped, and the control-register
@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,46 +26,23 @@ from .modmath import FactoringInstance
 
 
 @dataclass(frozen=True)
-class EigenphaseSet:
-    """The r eigenphases s/r; those with gcd(s, r) = 1 can produce factors."""
-
-    r: int
-    phases: tuple[Fraction, ...]
-    factor_producing: tuple[int, ...]
-
-    @classmethod
-    def from_period(cls, r: int) -> "EigenphaseSet":
-        if r < 1:
-            raise ValueError(f"period must be >= 1, got {r}")
-        return cls(
-            r=r,
-            phases=tuple(Fraction(s, r) for s in range(r)),
-            factor_producing=tuple(s for s in range(r) if gcd(s, r) == 1),
-        )
-
-
-@dataclass(frozen=True)
 class PhaseDistribution:
-    """Probabilities over the M control outcomes, exact or sampled; checked once, when made.
+    """Probabilities over the M control outcomes; checked once, when made.
 
-    ``probabilities`` and ``counts`` are read-only arrays of their own: an input
-    that is writable or a view is copied, so later writes to the caller's array
-    change neither them nor ``cdf``.
+    ``probabilities`` is a read-only array of its own: an input that is writable
+    or a view is copied, so later writes to the caller's array change neither it
+    nor ``cdf``.
     """
 
     m: int
     probabilities: np.ndarray
-    provenance: str  # "exact" | "sampled"
-    counts: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        for name in ("probabilities", "counts"):
-            a = getattr(self, name)
-            if a is not None and (a.base is not None or a.flags.writeable):
-                a = a.copy()
-                a.flags.writeable = False
-                object.__setattr__(self, name, a)
         p = self.probabilities
+        if p.base is not None or p.flags.writeable:
+            p = p.copy()
+            p.flags.writeable = False
+            object.__setattr__(self, "probabilities", p)
         if np.shape(p) != (self.M,):
             raise ValueError(f"probabilities of shape {np.shape(p)}, need ({self.M},) for m={self.m}")
         if not (np.isfinite(p).all() and (p >= 0).all() and p.sum() > 0):
@@ -191,21 +166,18 @@ def exact_distribution(instance: FactoringInstance, images: np.ndarray) -> Phase
             probs += power
     probs /= M**2
     probs.flags.writeable = False
-    return PhaseDistribution(m=m, probabilities=probs, provenance="exact")
+    return PhaseDistribution(m=m, probabilities=probs)
 
 
-def sample(dist: PhaseDistribution, shots: int, seed: int) -> PhaseDistribution:
-    """Multinomial draw from an exact distribution; deterministic per seed."""
-    if dist.provenance != "exact":
-        raise ValueError("can only sample from an exact distribution")
+def sample(dist: PhaseDistribution, shots: int, seed: int) -> np.ndarray:
+    """Shot counts over the M outcomes, read-only int64: one multinomial draw, deterministic per seed."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     counts = np.random.default_rng(seed).multinomial(
         shots, dist.probabilities / dist.probabilities.sum()
     )
-    probs = counts / shots
-    probs.flags.writeable = counts.flags.writeable = False
-    return PhaseDistribution(m=dist.m, probabilities=probs, provenance="sampled", counts=counts)
+    counts.flags.writeable = False
+    return counts
 
 
 def nearest_phase_bin(s: int, r: int, M: int) -> int:
@@ -214,24 +186,22 @@ def nearest_phase_bin(s: int, r: int, M: int) -> int:
 
 
 def histogram_csv(
-    instance: FactoringInstance,
-    dist: PhaseDistribution,
-    sampled: Optional[PhaseDistribution] = None,
+    instance: FactoringInstance, dist: PhaseDistribution, counts: Optional[np.ndarray] = None
 ) -> str:
     """CSV with one row per outcome whose probability exceeds 1e-15 or whose count is nonzero.
 
-    Columns: ell, phase_binary, phase_decimal, probability, counts,
-    produces_factors (``instance.factor_mask``).
+    Columns: ell, phase_binary, phase_decimal, probability, counts (``counts``,
+    e.g. from ``sample``; zeros when None), produces_factors (``instance.factor_mask``).
     """
-    for d in (dist, sampled):
-        if d is not None and d.m != instance.m:
-            raise ValueError(f"distribution over m={d.m} bits, instance has m={instance.m}")
+    if dist.m != instance.m:
+        raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
     m, M = instance.m, instance.M
     p = dist.probabilities.astype(float, copy=False)
-    if sampled is not None and sampled.counts is not None:
-        counts = sampled.counts.astype(np.int64, copy=False)
-    else:
+    if counts is None:
         counts = np.zeros(M, dtype=np.int64)
+    elif np.shape(counts) != (M,):
+        raise ValueError(f"counts of shape {np.shape(counts)}, need ({M},) for m={m}")
+    counts = counts.astype(np.int64, copy=False)
     keep = np.flatnonzero((p > 1e-15) | (counts != 0))
     parts = ["ell,phase_binary,phase_decimal,probability,counts,produces_factors\n"]
     # 4096 rows at a time: the Python values and row strings of all M rows at

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the library against.
 
 None of these runs in the CLI or the pipeline. Each computes its result a
-second, independent way: a brute-force concatenated U^p, the dense
+second, independent way: the orbit's cycles under U^p by scanning, a
+brute-force concatenated U^p, the dense
 2^(m+n) statevector backend, the scalar control image, the work images
 by doubling over ``Gate.apply`` alone, the closed-form
 eigenphase amplitudes and eigenvectors, the histogram CSV written one
@@ -32,7 +33,7 @@ from truncshor.circuit import (
     permutation_table,
 )
 from truncshor.experiments import TryOutcome
-from truncshor.modmath import FactoringInstance, Orbit, extract_factors
+from truncshor.modmath import CycleDecomposition, FactoringInstance, Orbit, extract_factors
 from truncshor.shor import PhaseDistribution
 from truncshor.synth import ProtectedCollisionError
 
@@ -73,6 +74,37 @@ def apply_to_statevector(circuit: LeveledCircuit, state: np.ndarray) -> np.ndarr
     for gate in circuit.gates():
         _apply_gate_dense(out, gate.target, [(c.qubit, c.negated) for c in gate.controls])
     return out
+
+
+def cycle_decomposition_scan(orbit: Orbit, p: int) -> CycleDecomposition:
+    """Partition the orbit under stepping by p.
+
+    Cycle order: candidates f(0), f(1), ... are scanned in orbit order and
+    each not-yet-covered candidate heads the next cycle; within a cycle,
+    states follow the step map. Stepping by a multiple of r gives r
+    singleton cycles (the identity).
+    """
+    if p < 1:
+        raise ValueError(f"power must be >= 1, got {p}")
+    states = orbit.states
+    r = orbit.r
+    step = p % r
+    if step == 0:
+        return CycleDecomposition(power=p, cycles=tuple((s,) for s in states))
+    index = {s: i for i, s in enumerate(states)}
+    covered: set[int] = set()
+    cycles: list[tuple[int, ...]] = []
+    for head in states:
+        if head in covered:
+            continue
+        cycle = [head]
+        k = (index[head] + step) % r
+        while states[k] != head:
+            cycle.append(states[k])
+            k = (k + step) % r
+        cycles.append(tuple(cycle))
+        covered.update(cycle)
+    return CycleDecomposition(power=p, cycles=tuple(cycles))
 
 
 def concatenate_power(u: LeveledCircuit, p: int) -> LeveledCircuit:
@@ -210,17 +242,16 @@ def run_shor_dense(
     rows = state.reshape(1 << n, M)
     transformed = np.fft.fft(rows, axis=1) / math.sqrt(M)
     probs = (np.abs(transformed) ** 2).sum(axis=0)
-    return PhaseDistribution(m=m, probabilities=probs, provenance="exact")
+    return PhaseDistribution(m=m, probabilities=probs)
 
 
 def histogram_csv_loop(
     instance: FactoringInstance,
     dist: PhaseDistribution,
-    sampled: Optional[PhaseDistribution] = None,
+    counts: Optional[np.ndarray] = None,
 ) -> str:
     """``histogram_csv`` one outcome at a time through ``csv.writer``."""
     M = instance.M
-    counts = sampled.counts if sampled is not None and sampled.counts is not None else None
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

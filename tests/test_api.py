@@ -1,6 +1,7 @@
 """The public API surface, and the names the benchmark's span recorder wraps."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -57,6 +58,13 @@ def test_leveled_circuit_table_is_gone():
     assert not hasattr(truncshor.circuit, "_low_halves")
 
 
+def test_one_distribution_type():
+    # sample returns shot counts, not a second kind of PhaseDistribution
+    assert [f.name for f in dataclasses.fields(truncshor.PhaseDistribution)] == ["m", "probabilities"]
+    assert not hasattr(truncshor, "EigenphaseSet")
+    assert not hasattr(truncshor.shor, "EigenphaseSet")
+
+
 # Each pipeline stage takes the previous stage's output and nothing that would redo it.
 STAGES = {
     "synth_me_operator": ["orbit", "p"],
@@ -67,6 +75,8 @@ STAGES = {
     "exact_distribution": ["instance", "images"],
     "tries_until_factor": ["instance", "dist", "seed", "max_tries"],
     "tries_ensemble": ["cells", "seeds", "max_tries"],
+    "sample": ["dist", "shots", "seed"],
+    "histogram_csv": ["instance", "dist", "counts"],
 }
 
 

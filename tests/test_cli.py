@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,28 @@ from qasm_grammar import validate_qasm3
 
 
 def test_parse_range():
-    assert _parse_range("0:5") == [0, 1, 2, 3, 4, 5]
-    assert _parse_range("7") == [7]
+    assert _parse_range("0:5") == range(0, 6)
+    assert _parse_range("7") == range(7, 8)
     with pytest.raises(ValueError):
         _parse_range("5:2")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["study", "--N", "21", "--a", "2", "--m", "5", "--trnc", "0:3000000", "--seed", "1",
+      "--out", "s.csv"], 2, "error: trnc_lv=6 outside [0, 6)\n"),
+    (["synth", "--N", "21", "--a", "2", "--powers", "1:3000000", "--out", "circuits"], 0, ""),
+])
+def test_wide_ranges_take_no_memory_per_value(capsys, monkeypatch, tmp_path, argv, code, err):
+    # a list of the three million values alone would take about 100 MB
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        assert main(["--quiet", *argv]) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == err
+    assert peak < 8 << 20
 
 
 def test_parse_powers():
@@ -192,6 +211,8 @@ def test_run_requires_seed_for_shots(capsys):
     (["--shots", "10"], "error: --seed is required when --shots > 0\n"),
     (["--shots", "-5"], "error: --shots must be >= 0, got -5\n"),
     (["--shots", "-5", "--seed", "1"], "error: --shots must be >= 0, got -5\n"),
+    (["--shots", "10", "--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
+    (["--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
 ])
 def test_run_checks_shots_before_any_synthesis(capsys, monkeypatch, extra, message):
     calls = []
@@ -207,6 +228,7 @@ def test_run_checks_shots_before_any_synthesis(capsys, monkeypatch, extra, messa
      "error: --max-tries must be >= 1, got 0\n"),
     ("study", ["--num-it", "0", "--trnc", "10:12", "--seed", "1", "--out", "s.csv"],
      "error: --num-it must be >= 1, got 0\n"),
+    ("factor", ["--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
 ])
 def test_max_tries_is_checked_before_any_synthesis(
     capsys, monkeypatch, tmp_path, command, extra, message

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_tries_until_factor_point_mass(instances):
     inst = instances[21]
     p = np.zeros(32)
     p[5] = 1.0
-    dist = PhaseDistribution(m=5, probabilities=p, provenance="exact")
+    dist = PhaseDistribution(m=5, probabilities=p)
     outcome = tries_until_factor(inst, dist, seed=0)
     assert outcome.tries == 1
     assert not outcome.capped
@@ -59,7 +60,7 @@ def test_tries_until_factor_caps(instances):
     inst = instances[21]
     p = np.zeros(32)
     p[0] = 1.0  # barren outcome: only convergent is (0, 1)
-    dist = PhaseDistribution(m=5, probabilities=p, provenance="exact")
+    dist = PhaseDistribution(m=5, probabilities=p)
     outcome = tries_until_factor(inst, dist, seed=3, max_tries=25)
     assert outcome.tries == 25
     assert outcome.capped
@@ -80,7 +81,7 @@ def test_chunked_draws_match_one_call(monkeypatch, instances):
     inst = instances[21]
     p = np.zeros(inst.M)
     p[0], p[5] = 299.0, 1.0  # l = 5 wins once in 300 tries, l = 0 never
-    dist = PhaseDistribution(m=inst.m, probabilities=p, provenance="exact")
+    dist = PhaseDistribution(m=inst.m, probabilities=p)
     sizes = []
     default_rng = np.random.default_rng
 
@@ -116,7 +117,7 @@ def test_chunked_draws_match_one_call(monkeypatch, instances):
             break
     assert wanted <= seen
     p[0], p[5] = 3.0, 1.0
-    dist = PhaseDistribution(m=inst.m, probabilities=p, provenance="exact")
+    dist = PhaseDistribution(m=inst.m, probabilities=p)
     for max_tries in (1, 15, 16, 17, 30, 48, 49):
         for seed in range(100):
             assert run(seed, max_tries) == one_call_oracle(inst, dist, seed, max_tries)
@@ -126,7 +127,7 @@ def test_chunked_draws_match_one_call(monkeypatch, instances):
 def test_instance_without_factor_outcomes_draws_nothing(monkeypatch, N, a):
     inst = FactoringInstance(N=N, a=a, m=5)
     assert not inst.factor_mask.any()
-    dist = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32), provenance="exact")
+    dist = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
 
     def no_rng(seed):
         raise AssertionError("default_rng called")
@@ -141,7 +142,7 @@ def test_mismatched_distribution_width_is_rejected(instances):
     inst = instances[21]
     p = np.zeros(16)
     p[5] = 1.0
-    dist = PhaseDistribution(m=4, probabilities=p, provenance="exact")
+    dist = PhaseDistribution(m=4, probabilities=p)
     with pytest.raises(ValueError, match="m=4"):
         tries_until_factor(inst, dist, seed=0)
     with pytest.raises(ValueError, match="m=4"):
@@ -200,6 +201,16 @@ def test_peak_presence_n33(instances, circuit_sets, orbits):
     dist = exact_distribution(instances[33], work_images(circuit_sets[33], instances[33].M))
     peaks = peak_presence(instances[33], orbits[33], dist)
     assert peaks == {1: True, 3: True, 7: True, 9: True}
+
+
+def test_peak_presence_keys():
+    # the eigenphases s/r with gcd(s, r) = 1, the ones that can produce factors
+    uniform = PhaseDistribution(m=6, probabilities=np.full(64, 1 / 64))
+    for N, a, keys in ((21, 2, {1, 5}), (15, 4, {1}), (33, 2, {1, 3, 7, 9}), (35, 2, {1, 5, 7, 11})):
+        inst = FactoringInstance(N=N, a=a, m=6)
+        orbit = build_orbit(inst)
+        assert keys == {s for s in range(orbit.r) if math.gcd(s, orbit.r) == 1}
+        assert set(peak_presence(inst, orbit, uniform)) == keys
 
 
 def test_resolution_study_shape(instances):
@@ -329,7 +340,7 @@ def test_resolution_study_truncates_each_distinct_circuit_once(monkeypatch):
 
 def ensemble_cells():
     """N=21, a=4, which never wins, then N=143 at m = 8 and 10, truncated to 19 and 11 levels."""
-    uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32), provenance="exact")
+    uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
     cells = [(FactoringInstance(N=21, a=4, m=5), uniform)]
     full = synth_all_powers(build_orbit(FactoringInstance(N=143, a=5, m=10)), 10)
     for t in (19, 11):
@@ -374,13 +385,13 @@ def test_tries_ensemble_checks_every_cell_before_any_generator(monkeypatch):
         raise AssertionError("default_rng called")
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
-    uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32), provenance="exact")
+    uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
     barren = [(FactoringInstance(N=21, a=4, m=5), uniform), (FactoringInstance(N=25, a=2, m=5), uniform)]
     assert tries_ensemble(barren, [1, 2, 3], 9) == [[TryOutcome(tries=9, capped=True)] * 3] * 2
     winning = (FactoringInstance(N=21, a=2, m=5), uniform)
     with pytest.raises(ValueError, match="max_tries must be >= 1, got 0"):
         tries_ensemble([winning], [1], 0)
-    narrow = PhaseDistribution(m=4, probabilities=np.full(16, 1 / 16), provenance="exact")
+    narrow = PhaseDistribution(m=4, probabilities=np.full(16, 1 / 16))
     with pytest.raises(ValueError, match="m=4"):
         tries_ensemble([winning, (FactoringInstance(N=21, a=2, m=5), narrow)], [1], 5)
 

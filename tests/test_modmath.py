@@ -22,6 +22,7 @@ from truncshor import (
 from truncshor.shor import nearest_phase_bin
 
 from conftest import CASES
+from oracles import cycle_decomposition_scan
 from reference_data import ORBITS
 
 
@@ -130,6 +131,17 @@ def test_cycle_decomposition_identity_power(orbits):
     decomp = cycle_decomposition(orbits[21], 6)
     assert decomp.cycles == tuple((s,) for s in orbits[21].states)
     assert cycle_decomposition(orbits[21], 12).cycles == decomp.cycles
+
+
+@pytest.mark.parametrize("N", range(15, 64, 2))
+def test_cycle_decomposition_equals_scan(N):
+    for a in range(2, N):
+        if gcd(a, N) != 1:
+            continue
+        inst = FactoringInstance(N=N, a=a, m=1)
+        orbit = build_orbit(inst)
+        for p in {*range(1, orbit.r + 2), *(1 << q for q in range(2 * inst.n + 1))}:
+            assert cycle_decomposition(orbit, p) == cycle_decomposition_scan(orbit, p)
 
 
 @pytest.mark.parametrize("N", [21, 33, 35, 143, 247])

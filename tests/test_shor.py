@@ -10,7 +10,6 @@ import pytest
 
 import truncshor.shor
 from truncshor import (
-    EigenphaseSet,
     FactoringInstance,
     LeveledCircuit,
     PhaseDistribution,
@@ -291,13 +290,6 @@ def test_peak_bins(instances, circuit_sets, orbits):
         assert top == expected
 
 
-def test_eigenphase_set():
-    es = EigenphaseSet.from_period(6)
-    assert len(es.phases) == 6
-    assert es.factor_producing == (1, 5)
-    assert EigenphaseSet.from_period(2).factor_producing == (1,)
-
-
 @pytest.mark.parametrize("N", sorted(CASES))
 def test_eigenstate_relations(orbits, circuit_sets, N):
     orbit = orbits[N]
@@ -324,13 +316,13 @@ def test_sample_determinism(instances, circuit_sets):
     dist = exact_distribution(instances[21], work_images(circuit_sets[21], instances[21].M))
     s1 = sample(dist, 4096, seed=99)
     s2 = sample(dist, 4096, seed=99)
-    assert np.array_equal(s1.counts, s2.counts)
-    assert s1.counts.sum() == 4096
-    assert s1.provenance == "sampled"
+    assert np.array_equal(s1, s2)
+    assert s1.shape == (dist.M,) and s1.dtype == np.int64
+    assert s1.sum() == 4096
     # count at l=5 within 5 sigma of 4096 * P(5)
     expect = 4096 * dist.probabilities[5]
     sigma = math.sqrt(4096 * dist.probabilities[5] * (1 - dist.probabilities[5]))
-    assert abs(s1.counts[5] - expect) < 5 * sigma
+    assert abs(s1[5] - expect) < 5 * sigma
 
 
 def test_sample_point_mass():
@@ -338,34 +330,26 @@ def test_sample_point_mass():
     dist_probs[3] = 1.0
     from truncshor import PhaseDistribution
 
-    dist = PhaseDistribution(m=3, probabilities=dist_probs, provenance="exact")
+    dist = PhaseDistribution(m=3, probabilities=dist_probs)
     out = sample(dist, 100, seed=1)
-    assert out.counts[3] == 100
+    assert out[3] == 100
 
 
 def test_sample_uniform_binomial_band():
     from truncshor import PhaseDistribution
 
-    dist = PhaseDistribution(m=2, probabilities=np.full(4, 0.25), provenance="exact")
+    dist = PhaseDistribution(m=2, probabilities=np.full(4, 0.25))
     out = sample(dist, 4096, seed=7)
     sigma = math.sqrt(4096 * 0.25 * 0.75)
-    for c in out.counts:
+    for c in out:
         assert abs(int(c) - 1024) < 5 * sigma
-
-
-def test_sample_requires_exact():
-    from truncshor import PhaseDistribution
-
-    dist = PhaseDistribution(m=2, probabilities=np.full(4, 0.25), provenance="sampled")
-    with pytest.raises(ValueError):
-        sample(dist, 10, seed=0)
 
 
 def test_histogram_csv(instances, circuit_sets):
     inst = instances[21]
     dist = exact_distribution(inst, work_images(circuit_sets[21], inst.M))
-    sampled = sample(dist, 4096, seed=5)
-    text = histogram_csv(inst, dist, sampled)
+    counts = sample(dist, 4096, seed=5)
+    text = histogram_csv(inst, dist, counts)
     lines = text.strip().splitlines()
     assert lines[0] == "ell,phase_binary,phase_decimal,probability,counts,produces_factors"
     rows = {int(line.split(",")[0]): line.split(",") for line in lines[1:]}
@@ -375,7 +359,7 @@ def test_histogram_csv(instances, circuit_sets):
     producers = [l for l, row in rows.items() if row[5] == "1"]
     assert sorted(producers) == [5, 27]
     # counts column carries the sampled counts
-    assert int(rows[5][4]) == int(sampled.counts[5])
+    assert int(rows[5][4]) == int(counts[5])
 
 
 @pytest.mark.parametrize("sample_m", [4, 6])
@@ -385,7 +369,7 @@ def test_histogram_csv_rejects_sample_of_other_width(instances, circuit_sets, sa
     other_inst = FactoringInstance(N=21, a=2, m=sample_m)
     other_images = work_images(synth_all_powers(build_orbit(other_inst), sample_m), other_inst.M)
     other = sample(exact_distribution(other_inst, other_images), 100, seed=1)
-    with pytest.raises(ValueError, match=f"m={sample_m}"):
+    with pytest.raises(ValueError, match=rf"counts of shape \({1 << sample_m},\), need \(32,\)"):
         histogram_csv(inst, dist, other)
 
 
@@ -410,14 +394,14 @@ def test_cdf_draws_equal_choice_on_point_mass_and_uniform():
     point[37] = 2.5  # unnormalized on purpose
     uniform = np.full(1024, 1.0 / 1024)
     for m, p in ((6, point), (10, uniform), (3, np.full(8, 3.0))):
-        dist = PhaseDistribution(m=m, probabilities=p, provenance="exact")
+        dist = PhaseDistribution(m=m, probabilities=p)
         for seed in range(200):
             draws = dist.cdf.searchsorted(np.random.default_rng(seed).random(50), side="right")
             assert np.array_equal(draws, choice_draws(dist, 50, seed))
 
 
 def test_cdf_is_built_once_and_read_only():
-    dist = PhaseDistribution(m=2, probabilities=np.array([1.0, 0.0, 3.0, 0.0]), provenance="exact")
+    dist = PhaseDistribution(m=2, probabilities=np.array([1.0, 0.0, 3.0, 0.0]))
     assert dist.cdf is dist.cdf
     assert list(dist.cdf) == [0.25, 0.25, 1.0, 1.0]
     with pytest.raises(ValueError):
@@ -426,7 +410,7 @@ def test_cdf_is_built_once_and_read_only():
 
 def test_phase_distribution_keeps_no_writable_alias():
     caller = np.array([1.0, 0.0, 3.0, 0.0])
-    dist = PhaseDistribution(m=2, probabilities=caller, provenance="exact")
+    dist = PhaseDistribution(m=2, probabilities=caller)
     cdf = dist.cdf.copy()
     caller[:] = [0.0, 4.0, 0.0, 0.0]
     assert list(dist.probabilities) == [1.0, 0.0, 3.0, 0.0]
@@ -435,27 +419,21 @@ def test_phase_distribution_keeps_no_writable_alias():
         dist.probabilities[0] = 0.5
     view = caller.view()
     view.flags.writeable = False
-    counts = np.array([1, 0, 3, 0])
     for given in (view, np.broadcast_to(caller[1:2], (4,))):
-        dist = PhaseDistribution(m=2, probabilities=given, provenance="sampled", counts=counts)
+        dist = PhaseDistribution(m=2, probabilities=given)
         kept, cdf = given.copy(), dist.cdf.copy()
         caller[1] += 1.0
-        counts[0] += 7
         assert np.array_equal(dist.probabilities, kept)
         assert np.array_equal(dist.cdf, cdf)
-        assert list(dist.counts) == [1, 0, 3, 0]
-        counts[0] = 1
     frozen = np.full(4, 0.25)
     frozen.flags.writeable = False
-    assert PhaseDistribution(m=2, probabilities=frozen, provenance="exact").probabilities is frozen
+    assert PhaseDistribution(m=2, probabilities=frozen).probabilities is frozen
 
 
 def test_exact_and_sampled_probabilities_are_read_only(instances, circuit_sets):
     dist = exact_distribution(instances[21], work_images(circuit_sets[21], instances[21].M))
-    sampled = sample(dist, 100, seed=1)
-    for d in (dist, sampled):
-        assert not d.probabilities.flags.writeable
-    assert not sampled.counts.flags.writeable
+    assert not dist.probabilities.flags.writeable
+    assert not sample(dist, 100, seed=1).flags.writeable
 
 
 BAD_PROBABILITIES = {
@@ -469,7 +447,7 @@ BAD_PROBABILITIES = {
 @pytest.mark.parametrize("case", sorted(BAD_PROBABILITIES))
 def test_phase_distribution_rejects_bad_probabilities(instances, case):
     def bad():
-        return PhaseDistribution(m=5, probabilities=BAD_PROBABILITIES[case], provenance="exact")
+        return PhaseDistribution(m=5, probabilities=BAD_PROBABILITIES[case])
 
     with pytest.raises(ValueError, match="probabilities"):
         bad()
