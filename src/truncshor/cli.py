@@ -166,6 +166,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.shots < 0:
         raise ValueError(f"--shots must be >= 0, got {args.shots}")
+    if args.shots >= 1 << 63:  # the multinomial counts are int64
+        raise ValueError(f"--shots must be < 2^63, got {args.shots}")
     if args.shots and args.seed is None:
         raise ValueError("--seed is required when --shots > 0")
     if args.seed is not None and args.seed < 0:

@@ -138,11 +138,11 @@ def truncation_sweep(
 ) -> list[TriesResult]:
     """Ensemble means across truncation levels: a resolution study at instance.m.
 
-    Iteration i at level t uses seed derive_seed(base_seed, t, i).
+    One result per distinct level, in the order of ``trnc_range``; iteration
+    i at level t uses seed derive_seed(base_seed, t, i).
     """
-    trnc_levels = list(trnc_range)
-    cells = resolution_study(instance, [instance.m], trnc_levels, num_it, base_seed, max_tries)
-    return [cells[(instance.m, t)].result for t in trnc_levels]
+    cells = resolution_study(instance, [instance.m], trnc_range, num_it, base_seed, max_tries)
+    return [cell.result for cell in cells.values()]
 
 
 def peak_presence(

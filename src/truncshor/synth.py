@@ -15,15 +15,14 @@ Two constraint tiers govern gate construction:
   partner of the current step, which a NOT gate unavoidably swaps with
   the running value. That displacement is tracked, never lost.
 
-Both searches work on Python integers used as bit sets. One trajectory
-state per operator gives every orbit state's trajectory a slot in n bit
-planes (bit i of plane q is bit q of the value in slot i), built once and
-updated gate by gate, so a step's greedy control search is a few ORs over
-the planes. A displaced twin's slot moves with it; the source's own slot
-keeps its starting value, still avoided, until the level ends. A blocked
-direct path is rerouted through distance layers grown from the target as
-2^n-bit sets of basis values, within one free-value mask that is built at
-the first blocked level and loses one bit per sealed output after that.
+One trajectory state per operator gives every orbit state's trajectory a
+slot in n bit planes (bit i of plane q is bit q of the value in slot i),
+built once and updated gate by gate, so a step's greedy control search is
+a few ORs over the planes. A displaced twin's slot moves with it; the
+source's own slot keeps its starting value, still avoided, until the level
+ends. A blocked direct path is rerouted by a depth-first search over walks
+of growing length, which holds only the values its walks visit, never a
+set sized by 2^n.
 
 ``truncate`` then empties the last ``trnc_lv`` levels of synthesized circuits.
 """
@@ -32,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .circuit import VERSION_TRUNCATED, Control, Gate, LeveledCircuit, _planes
 from .modmath import CycleDecomposition, Orbit, cycle_decomposition
@@ -92,31 +89,10 @@ def minimize_controls(
     return _greedy_controls(state.planes, state.slots, fire_value, n_qubits, target)
 
 
-# _LOW_HALVES[n][b]: the 2^n-bit set of values whose bit b is 0. A pure
-# function of n, kept for each register width seen.
-_LOW_HALVES: dict[int, tuple[int, ...]] = {}
-
-
-def _low_halves(n_qubits: int) -> tuple[int, ...]:
-    if n_qubits not in _LOW_HALVES:
-        size = 1 << n_qubits
-        masks = []
-        for b in range(n_qubits):
-            mask, width = (1 << (1 << b)) - 1, 2 << b
-            while width < size:  # doubling: the pattern repeats every 2^(b+1) values
-                mask |= mask << width
-                width <<= 1
-            masks.append(mask)
-        _LOW_HALVES[n_qubits] = tuple(masks)
-    return _LOW_HALVES[n_qubits]
-
-
 class _Trajectories:
     """One synthesis state: avoided values as slots in n bit planes, and the sealed values.
 
     Bit i of ``planes[q]`` is bit q of the value in ``slot``-numbered slot i.
-    ``free``, the 2^n-bit set of unsealed values, is built for the first
-    blocked direct path and kept in step by ``settle`` after that.
     """
 
     def __init__(self, values: Iterable[int], sealed: Iterable[int], n_qubits: int) -> None:
@@ -124,7 +100,6 @@ class _Trajectories:
         self.planes = _planes(list(self.slot), n_qubits)
         self.slots = (1 << len(self.slot)) - 1
         self.sealed = set(sealed)
-        self.free: Optional[int] = None
         self.n_qubits = n_qubits
 
     def path(self, current: int, target: int) -> list[int]:
@@ -134,41 +109,59 @@ class _Trajectories:
         bit), the one a breadth-first search from current with neighbors in
         ascending bit order returns. When the path that flips the differing
         bits in ascending index order is unobstructed, it is the answer.
-        Otherwise the distance layers from target over the free values are
-        grown as 2^n-bit sets until one borders current (which may itself be
-        sealed), and the path walks back down them, taking the lowest bit
-        that steps into the next layer.
+        Otherwise walks of h, h + 2, ... flips (h the Hamming distance) are
+        searched depth first, lowest bit first, skipping any value further
+        from target than the flips left and any (value, flips left) pair that
+        failed before; the first walk found is that path. There is none when
+        two successive lengths reach the same values (along a path, distance
+        from current plus distance to target grows by 0 or 2 per step, so
+        every value of current's side is reached by then), or when the
+        target's side, flooded one layer per length, closes without
+        bordering current (which may itself be sealed).
         """
-        n_qubits = self.n_qubits
+        sealed, flips = self.sealed, [1 << b for b in range(self.n_qubits)]
         path = [current]
-        for b in range(n_qubits):
-            if (current ^ target) >> b & 1:
-                path.append(path[-1] ^ (1 << b))
-        if self.sealed.isdisjoint(path[1:]):
+        for f in flips:
+            if (current ^ target) & f:
+                path.append(path[-1] ^ f)
+        if sealed.isdisjoint(path[1:]):
             return path
-        if self.free is None:
-            marks = np.zeros(1 << n_qubits, dtype=bool)
-            # values outside the register never lie on a path
-            marks[[v for v in self.sealed if 0 <= v < len(marks)]] = True
-            self.free = ~int.from_bytes(np.packbits(marks, bitorder="little").tobytes(), "little")
-        low = _low_halves(n_qubits)
-        layers = [1 << target & self.free]
-        reached = layers[0]
-        while layers[-1]:
-            edge = 0
-            for b, half in enumerate(low):
-                edge |= (layers[-1] & half) << (1 << b) | (layers[-1] >> (1 << b)) & half
-            if edge >> current & 1:
-                path = [current]
-                for layer in reversed(layers):
-                    path.append(next(w for w in (path[-1] ^ (1 << b) for b in range(n_qubits))
-                                     if layer >> w & 1))
-                return path
-            layers.append(edge & self.free & ~reached)
-            reached |= layers[-1]
-        raise ProtectedCollisionError(
-            f"no path {current} -> {target} around {len(self.sealed)} protected values"
+        steps = len(path) - 1
+        failed: set[tuple[int, int]] = set()  # (value, flips left) with no walk to target
+        seen, before = {current}, 0  # the values walks reached, and their count one length ago
+        side: Optional[set[int]] = {target} - sealed  # the target's side, until it borders current
+        edge = side
+        no_path = ProtectedCollisionError(
+            f"no path {current} -> {target} around {len(sealed)} protected values"
         )
+        while True:
+            if side is not None:
+                edge = {w ^ f for w in edge for f in flips} - side - sealed
+                side |= edge
+                if any((w ^ current).bit_count() == 1 for w in edge):
+                    side = None
+                elif not edge:
+                    raise no_path
+            walk, untried = [current], [iter(flips)]  # untried[i]: flips yet to try at walk[i]
+            while walk:
+                left = steps - len(walk)  # flips left after the next one
+                f = next(untried[-1], 0)
+                if not f:
+                    failed.add((walk.pop(), left + 1))
+                    untried.pop()
+                    continue
+                v = walk[-1] ^ f
+                if v in sealed or (v ^ target).bit_count() > left or (v, left) in failed:
+                    continue
+                if not left:  # v is target
+                    return walk + [v]
+                seen.add(v)
+                walk.append(v)
+                untried.append(iter(flips))
+            if len(seen) == before:
+                raise no_path
+            before = len(seen)
+            steps += 2
 
     def level(self, current: int, target: int) -> list[Gate]:
         """The gates of one level, current -> target, moving each displaced slot with its value.
@@ -202,8 +195,6 @@ class _Trajectories:
                 self.planes[q] ^= 1 << i
         self.slot[target] = i
         self.sealed.add(target)
-        if self.free is not None:
-            self.free &= ~(1 << target)
 
 
 def _flip_path(current: int, target: int, blocked: Iterable[int], n_qubits: int) -> list[int]:

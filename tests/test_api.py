@@ -58,6 +58,13 @@ def test_leveled_circuit_table_is_gone():
     assert not hasattr(truncshor.circuit, "_low_halves")
 
 
+def test_synthesis_keeps_no_2_to_the_n_state():
+    # a blocked path is found by walking the detour, not by 2^n-bit layers in a free mask
+    for name in ("_low_halves", "_LOW_HALVES", "np"):
+        assert not hasattr(truncshor.synth, name)
+    assert not hasattr(truncshor.synth._Trajectories((), (), 3), "free")
+
+
 def test_one_distribution_type():
     # sample returns shot counts, not a second kind of PhaseDistribution
     assert [f.name for f in dataclasses.fields(truncshor.PhaseDistribution)] == ["m", "probabilities"]

@@ -201,6 +201,15 @@ def test_run_command_with_shots(tmp_path, capsys):
     assert sum(int(r["counts"]) for r in rows) == 4096
 
 
+def test_run_takes_shots_up_to_the_int64_cap(capsys):
+    code, out, _ = run_cli(capsys, "run", "--N", "21", "--a", "2", "--m", "5",
+                           "--shots", str((1 << 63) - 1), "--seed", "1")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 32
+    assert sum(int(r["counts"]) for r in rows) == (1 << 63) - 1
+
+
 def test_run_requires_seed_for_shots(capsys):
     code, _, err = run_cli(capsys, "run", "--N", "21", "--a", "2", "--m", "5", "--shots", "10")
     assert code == 2
@@ -213,6 +222,7 @@ def test_run_requires_seed_for_shots(capsys):
     (["--shots", "-5", "--seed", "1"], "error: --shots must be >= 0, got -5\n"),
     (["--shots", "10", "--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
     (["--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
+    (["--shots", str(1 << 63), "--seed", "1"], f"error: --shots must be < 2^63, got {1 << 63}\n"),
 ])
 def test_run_checks_shots_before_any_synthesis(capsys, monkeypatch, extra, message):
     calls = []

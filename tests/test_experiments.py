@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,19 @@ def test_peak_presence_keys():
         orbit = build_orbit(inst)
         assert keys == {s for s in range(orbit.r) if math.gcd(s, orbit.r) == 1}
         assert set(peak_presence(inst, orbit, uniform)) == keys
+
+
+def test_sweep_checks_each_level_as_it_goes():
+    # the range is never listed: the first level outside [0, r) stops it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^trnc_lv=6 outside \[0, 6\)$"):
+            truncation_sweep(FactoringInstance(N=21, a=2, m=5), range(0, 3_000_000),
+                             num_it=1, base_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_resolution_study_shape(instances):

@@ -2,7 +2,8 @@
 
 Circuit JSON and QASM are the serialized forms the ``synth`` command writes;
 the study CSV/JSON pair is what ``study`` writes; the histogram CSVs are what
-``run`` writes, one of them at n = 24; the JSON lines of ``--quiet factor`` pin the tries stream
+``run`` writes, one of them at n = 24; the n = 27 files are what ``synth``
+writes; the JSON lines of ``--quiet factor`` pin the tries stream
 (``tries`` and ``l_measured``) and the exit codes. Any change to synthesis, truncation, sampling or the row
 schema shows up here as a digest mismatch. The n = 10-12 moduli (N = 1001,
 N = 4087, N = 3127) reach control patterns the five small moduli do not.
@@ -86,6 +87,14 @@ HISTOGRAM_143_DIGEST = "5637929643b9214fff2bd368e28473de268986dc8c8e637bd0aa9594
 # code that still read a 2^24-entry table per circuit.
 RUN_N24_DIGEST = "be9d72df559e51771454e8101a2c50d23aee3508f04bc1f2fadf64c2600a6677"
 
+# The circuit JSON and certificate `synth --N 134217729 --a 2 --powers 2` writes
+# (n = 27, r = 54, two blocked levels), as written by the code that grew 2^27-bit
+# distance layers for them.
+SYNTH_N27_DIGESTS = (
+    "a3f225ae1e3848cdbd4843cc26113aeb56fee29f8ebeb92716a8efc66bf20398",
+    "1bc71a9f715ff944318baef7b529a9c7a5dcff2d7fb19d3ba27979a80bd056e3",
+)
+
 # sha256 of "<exit code> <stdout>" of `--quiet factor <config> --seed s`, joined over
 # seeds 1..8 (1..2 for the m = 17 configuration). The max-tries configurations
 # mix exit 0 with capped runs that exit 3.
@@ -155,6 +164,15 @@ def test_run_csv_bytes_n24(tmp_path, capsys):
     out = tmp_path / "hist.csv"
     assert main(["run", "--N", "16777215", "--a", "2", "--m", "16", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_N24_DIGEST
+    capsys.readouterr()
+
+
+def test_synth_file_bytes_n27(tmp_path, capsys):
+    assert main(["synth", "--N", "134217729", "--a", "2", "--powers", "2",
+                 "--out", str(tmp_path)]) == 0
+    names = ("me_N134217729_a2_p2_trnc0.json", "me_N134217729_a2_p2_trnc0_cert.json")
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in names) == SYNTH_N27_DIGESTS
     capsys.readouterr()
 
 

@@ -1,9 +1,10 @@
-"""The bit-plane control search and the layered flip-path search against their oracles.
+"""The bit-plane control search and the depth-first flip-path search against their oracles.
 
 ``minimize_controls`` and every synthesis level run on integer bit planes,
-kept once per operator, and ``_flip_path`` routes around blocked values with
-2^n-bit layer sets; the oracles in ``tests/oracles.py`` are the scalar greedy
-search, the breadth-first search and the set-based level loop.
+kept once per operator, and ``_flip_path`` routes around blocked values by a
+depth-first search over walks of growing length, with no set of 2^n values;
+the oracles in ``tests/oracles.py`` are the scalar greedy search, the
+breadth-first search and the set-based level loop.
 """
 
 import random
@@ -17,6 +18,7 @@ from truncshor import (
     Control,
     FactoringInstance,
     ProtectedCollisionError,
+    apply_to_basis,
     build_orbit,
     minimize_controls,
     synth_all_powers,
@@ -72,6 +74,42 @@ def test_flip_path_edge_cases():
     # current == target is the empty path, blocked or not
     assert _flip_path(7, 7, frozenset({7}), n) == [7]
     assert _flip_path(7, 7, ring, n) == [7]
+
+
+def test_flip_path_detour_deeper_than_the_recursion_limit():
+    n = 1030  # 1031 values on the path: a recursive search would pass Python's limit
+    path = _flip_path(0, (1 << n) - 1, frozenset({1}), n)
+    assert path == [0, 2, 3] + [(1 << k) - 1 for k in range(3, n + 1)]
+
+
+@pytest.mark.parametrize("enclosed", ["target", "current"])
+def test_enclosed_end_is_proved_unreachable_without_searching_the_other_side(enclosed):
+    n = 20  # the other side is all but 21 of the 2^20 values
+    ring = frozenset(1 << b for b in range(n))  # every neighbor of 0
+    ends = ((1 << n) - 1, 0) if enclosed == "target" else (0, (1 << n) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtectedCollisionError):
+            _flip_path(*ends, ring, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_wide_blocked_operator_allocates_nothing_of_size_2_to_the_n():
+    N = (1 << 40) + 1  # a = 2: r = 80 on n = 41 qubits, a 2^41-bit set is 256 GiB
+    orbit = build_orbit(FactoringInstance(N=N, a=2, m=1))
+    tracemalloc.start()
+    try:
+        circuit = synth_me_operator(orbit, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert [apply_to_basis(circuit, s) for s in orbit.states] == [
+        orbit.states[(k + 2) % orbit.r] for k in range(orbit.r)
+    ]
 
 
 def test_minimize_controls_matches_greedy_oracle_to_n12():
@@ -166,27 +204,6 @@ def test_synthesis_builds_planes_once_per_operator_and_never_replays(monkeypatch
     assert builds == [orbit.r] * 3
 
 
-def test_blocked_levels_keep_the_free_mask_in_step_with_the_sealed_set(monkeypatch):
-    # N=3127 (r=1508): hundreds of levels take the blocked-path search
-    orbit = build_orbit(FactoringInstance(N=3127, a=2, m=1))
-    settle = truncshor.synth._Trajectories.settle
-    states, cleared = [], []
-
-    def checked(state, i, current, target):
-        settle(state, i, current, target)
-        if not states:
-            states.append(state)
-        if state.free is not None:
-            cleared.append(not state.free >> target & 1)
-
-    monkeypatch.setattr(truncshor.synth._Trajectories, "settle", checked)
-    synth_me_operator(orbit, 1)
-    (state,) = states
-    assert 0 < len(cleared) < orbit.r and all(cleared)
-    size = 1 << state.n_qubits
-    assert state.free & (1 << size) - 1 == sum(1 << v for v in range(size) if v not in state.sealed)
-
-
 def test_unblocked_wide_operator_never_builds_the_free_mask():
     orbit = build_orbit(FactoringInstance(N=16777215, a=2, m=1))  # n = 24, r = 24
     tracemalloc.start()
@@ -196,4 +213,4 @@ def test_unblocked_wide_operator_never_builds_the_free_mask():
     finally:
         tracemalloc.stop()
     assert circuit.num_levels == orbit.r
-    assert peak < 1 << 20  # a 2^24-bit mask alone is 2 MiB
+    assert peak < 1 << 20  # a 2^24-bit set alone is 2 MiB
