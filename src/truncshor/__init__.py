@@ -57,6 +57,7 @@ from .qasm import to_qasm3
 from .shor import (
     PhaseDistribution,
     exact_distribution,
+    histogram_chunks,
     histogram_csv,
     nearest_phase_bin,
     sample,

@@ -58,8 +58,12 @@ class Gate:
             raise ValueError(f"target {self.target} is also a control")
         if self.target < 0 or min(qubits, default=0) < 0:
             raise ValueError(f"negative qubit in gate on {self.target} with controls {qubits}")
-        # the qubits are distinct, so this is the order of Control's own comparison
-        object.__setattr__(self, "controls", tuple(sorted(self.controls, key=lambda c: c.qubit)))
+        # synthesis builds the controls in ascending order; other input is sorted, and
+        # as the qubits are distinct, that is the order of Control's own comparison
+        if qubits != sorted(qubits):
+            object.__setattr__(self, "controls", tuple(sorted(self.controls, key=lambda c: c.qubit)))
+        elif type(self.controls) is not tuple:
+            object.__setattr__(self, "controls", tuple(self.controls))
 
     def fires(self, w: int) -> bool:
         return all(((w >> c.qubit) & 1 == 0) == c.negated for c in self.controls)

@@ -18,13 +18,13 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import circuit as circuit_mod
 from . import qasm
 from .experiments import resolution_study, study_csv, study_json, tries_until_factor
 from .modmath import FactoringInstance, NotCoprimeError, build_orbit
-from .shor import exact_distribution, histogram_csv, sample, work_images
+from .shor import exact_distribution, histogram_chunks, histogram_outcomes, sample, work_images
 from .synth import ProtectedCollisionError, check_trnc_lv, synth_all_powers, synth_powers, truncate
 
 EXIT_OK = 0
@@ -32,8 +32,8 @@ EXIT_VALIDATION = 2
 EXIT_NO_FACTORS = 3
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write a unique temp file beside path, give it a plain create's mode, rename it.
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write chunks to a unique temp file beside path, give it a plain create's mode, rename it.
 
     An OSError names path, not the temp file, whose name is random.
     """
@@ -41,7 +41,7 @@ def _write_atomic(path: Path, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
@@ -146,15 +146,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
         stem = f"me_N{args.N}_a{args.a}_p{p}_trnc{args.trnc_lv}"
         if args.format == "json":
             path = out_dir / f"{stem}.json"
-            _write_atomic(path, circuit_mod.to_json(circ, indent=2) + "\n")
+            _write_atomic(path, [circuit_mod.to_json(circ, indent=2) + "\n"])
         else:
             path = out_dir / f"{stem}.qasm"
-            _write_atomic(path, qasm.to_qasm3(circ))
+            _write_atomic(path, [qasm.to_qasm3(circ)])
         if id(shared) not in certs:
             cert = circuit_mod.permutation_table(shared, orbit.states)
             certs[id(shared)] = json.dumps(cert.to_json_dict(), indent=2) + "\n"
         cert_path = out_dir / f"{stem}_cert.json"
-        _write_atomic(cert_path, certs[id(shared)])
+        _write_atomic(cert_path, [certs[id(shared)]])
         _emit(
             args,
             {"event": "synth", "power": p, "file": str(path), "gates": circ.gate_count()},
@@ -178,14 +178,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     circuits = truncate(synth_all_powers(orbit, args.m), args.trnc_lv)
     dist = exact_distribution(instance, work_images(circuits, instance.M))
     counts = sample(dist, args.shots, args.seed) if args.shots else None
-    text = histogram_csv(instance, dist, counts)
+    chunks = histogram_chunks(instance, dist, counts)
     if args.out:
-        _write_atomic(Path(args.out), text)
-        rows = text.count("\n") - 1
+        _write_atomic(Path(args.out), chunks)
+        rows = len(histogram_outcomes(dist, counts))
         _emit(args, {"event": "run", "out": args.out, "rows": rows},
               f"histogram ({rows} rows) -> {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 
@@ -247,8 +247,8 @@ def cmd_study(args: argparse.Namespace) -> int:
         max_tries=args.max_tries,
     )
     results = [cells[(m, t)].result for m in m_values for t in trnc_levels]
-    _write_atomic(out_path, study_csv(results))
-    _write_atomic(json_path, study_json(results) + "\n")
+    _write_atomic(out_path, [study_csv(results)])
+    _write_atomic(json_path, [study_json(results) + "\n"])
     for res in results:
         m, t = res.instance.m, res.trnc_lv
         _emit(

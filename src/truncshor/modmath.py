@@ -44,6 +44,10 @@ def mod_pow(a: int, x: int, N: int) -> int:
     return pow(a, x, N)
 
 
+# Control values per vectorized Euclid pass in ``FactoringInstance.factor_mask``.
+_EUCLID_BLOCK = 1 << 14
+
+
 @dataclass(frozen=True)
 class FactoringInstance:
     """One factoring problem: odd modulus N, coprime base a, control width m.
@@ -91,19 +95,21 @@ class FactoringInstance:
         """Built on first use: ``factor_mask[l]`` says whether analyzing outcome l yields factors.
 
         A convergent denominator q splits N iff the period r is even, a**(r/2) != -1
-        mod N and q is an odd multiple of r, so one vectorized Euclid pass decides every l.
+        mod N and q is an odd multiple of r, so a vectorized Euclid pass decides each
+        block of ``_EUCLID_BLOCK`` values of l, and its temporaries are one block's.
         """
         r = self.r
         mask = np.zeros(self.M, dtype=bool)
         if check_period(self, r).accepted:
-            l = np.arange(1, self.M)  # l = 0 has the single denominator 1
-            u, v, q, q_prev = np.full_like(l, self.M), l, np.ones_like(l), np.zeros_like(l)
-            while l.size:
-                u, v, q, q_prev = v, u % v, (u // v) * q + q_prev, q
-                hit = q % (2 * r) == r
-                mask[l[hit]] = True
-                keep = ~hit & (v != 0)
-                l, u, v, q, q_prev = l[keep], u[keep], v[keep], q[keep], q_prev[keep]
+            for start in range(1, self.M, _EUCLID_BLOCK):  # l = 0 has the single denominator 1
+                l = np.arange(start, min(start + _EUCLID_BLOCK, self.M))
+                u, v, q, q_prev = np.full_like(l, self.M), l, np.ones_like(l), np.zeros_like(l)
+                while l.size:
+                    u, v, q, q_prev = v, u % v, (u // v) * q + q_prev, q
+                    hit = q % (2 * r) == r
+                    mask[l[hit]] = True
+                    keep = ~hit & (v != 0)
+                    l, u, v, q, q_prev = l[keep], u[keep], v[keep], q[keep], q_prev[keep]
         mask.flags.writeable = False
         return mask
 

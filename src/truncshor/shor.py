@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -82,8 +82,11 @@ def work_images(circuits: Sequence[LeveledCircuit], M: int) -> np.ndarray:
 
 
 # Bytes of FFT workspace for all rows in flight (a complex128 and a float64
-# row each), and the smallest M whose transforms are spread over threads.
+# row each), the most rows one workspace transforms per call (a warm row of
+# M = 2**16 costs about the same at 1 to 16 rows per call, so more rows would
+# only take memory), and the smallest M whose transforms are spread over threads.
 _FFT_BUDGET = 64 << 20
+_WORKSPACE_ROWS = 4
 _POOL_MIN_M = 1 << 17
 
 
@@ -142,12 +145,13 @@ def exact_distribution(instance: FactoringInstance, images: np.ndarray) -> Phase
     """Exact control-register distribution via grouped DFT over ``work_images(circuits, M)``.
 
     The images may be the prefix of a wider register's. The indicator rows of
-    the distinct images are transformed in blocks, in reused workspaces of 8
-    rows in all (fewer from m = 19, where 24 * M bytes per row would pass
-    ``_FFT_BUDGET``). From M = 2**17 the blocks are shared by up to 4 threads,
-    one per usable CPU. The calling thread adds each row's power to P(l) one
-    row at a time in image order, which fixes the last bits of P(l) whatever
-    the thread count.
+    the distinct images are transformed in blocks, in reused workspaces of at
+    most 4 rows each and 8 rows in all (fewer from m = 19, where 24 * M bytes
+    per row would pass ``_FFT_BUDGET``). From M = 2**17 the blocks are shared
+    by up to 4 threads, one per usable CPU, each with its own workspace; below
+    that, one workspace of 4 rows. The calling thread adds each row's power to
+    P(l) one row at a time in image order, which fixes the last bits of P(l)
+    whatever the thread count.
     """
     m, M = instance.m, instance.M
     if images.shape != (M,):
@@ -158,7 +162,7 @@ def exact_distribution(instance: FactoringInstance, images: np.ndarray) -> Phase
     distinct = len(bounds) - 1
     rows = min(8, max(1, _FFT_BUDGET // (24 * M)))
     workers = min(_cpu_count(), 4, rows) if M >= _POOL_MIN_M else 1
-    size = min(rows // workers, distinct)
+    size = min(_WORKSPACE_ROWS, rows // workers, distinct)
     workers = min(workers, math.ceil(distinct / size))
     probs = np.zeros(M)
     for block in _power_blocks(order, bounds, M, workers, size):
@@ -185,6 +189,43 @@ def nearest_phase_bin(s: int, r: int, M: int) -> int:
     return ((2 * M * s + r) // (2 * r)) % M
 
 
+def histogram_outcomes(dist: PhaseDistribution, counts: Optional[np.ndarray] = None) -> np.ndarray:
+    """The outcomes ``histogram_csv`` writes, ascending: probability above 1e-15 or a nonzero count."""
+    kept = dist.probabilities > 1e-15
+    if counts is not None:
+        if np.shape(counts) != (dist.M,):
+            raise ValueError(f"counts of shape {np.shape(counts)}, need ({dist.M},) for m={dist.m}")
+        kept |= counts.astype(np.int64, copy=False) != 0
+    return np.flatnonzero(kept)
+
+
+def histogram_chunks(
+    instance: FactoringInstance, dist: PhaseDistribution, counts: Optional[np.ndarray] = None
+) -> Iterator[str]:
+    """The text of ``histogram_csv``: its header, then its rows 4096 at a time.
+
+    The arguments are checked when this is called, before the first chunk. The
+    Python values and row strings held at once are one chunk's, not all M rows'.
+    """
+    if dist.m != instance.m:
+        raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
+    m, M = instance.m, instance.M
+    keep = histogram_outcomes(dist, counts)
+    p = dist.probabilities.astype(float, copy=False)
+    if counts is not None:
+        counts = counts.astype(np.int64, copy=False)
+
+    def chunks() -> Iterator[str]:
+        yield "ell,phase_binary,phase_decimal,probability,counts,produces_factors\n"
+        for start in range(0, len(keep), 4096):
+            ks = keep[start : start + 4096]
+            cs = [0] * len(ks) if counts is None else counts[ks].tolist()
+            rows = zip(ks.tolist(), p[ks].tolist(), cs, instance.factor_mask[ks].tolist())
+            yield "".join(f"{l},0.{l:0{m}b},{l / M!r},{q!r},{c},{int(f)}\n" for l, q, c, f in rows)
+
+    return chunks()
+
+
 def histogram_csv(
     instance: FactoringInstance, dist: PhaseDistribution, counts: Optional[np.ndarray] = None
 ) -> str:
@@ -193,21 +234,4 @@ def histogram_csv(
     Columns: ell, phase_binary, phase_decimal, probability, counts (``counts``,
     e.g. from ``sample``; zeros when None), produces_factors (``instance.factor_mask``).
     """
-    if dist.m != instance.m:
-        raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
-    m, M = instance.m, instance.M
-    p = dist.probabilities.astype(float, copy=False)
-    if counts is None:
-        counts = np.zeros(M, dtype=np.int64)
-    elif np.shape(counts) != (M,):
-        raise ValueError(f"counts of shape {np.shape(counts)}, need ({M},) for m={m}")
-    counts = counts.astype(np.int64, copy=False)
-    keep = np.flatnonzero((p > 1e-15) | (counts != 0))
-    parts = ["ell,phase_binary,phase_decimal,probability,counts,produces_factors\n"]
-    # 4096 rows at a time: the Python values and row strings of all M rows at
-    # once would take about twice the memory of the CSV text itself.
-    for start in range(0, len(keep), 4096):
-        ks = keep[start : start + 4096]
-        rows = zip(ks.tolist(), p[ks].tolist(), counts[ks].tolist(), instance.factor_mask[ks].tolist())
-        parts.append("".join(f"{l},0.{l:0{m}b},{l / M!r},{q!r},{c},{int(f)}\n" for l, q, c, f in rows))
-    return "".join(parts)
+    return "".join(histogram_chunks(instance, dist, counts))

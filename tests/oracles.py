@@ -5,7 +5,8 @@ second, independent way: the orbit's cycles under U^p by scanning, a
 brute-force concatenated U^p, the dense
 2^(m+n) statevector backend, the scalar control image, the work images
 by doubling over ``Gate.apply`` alone, the closed-form
-eigenphase amplitudes and eigenvectors, the histogram CSV written one
+eigenphase amplitudes and eigenvectors, the factor mask in one Euclid
+pass over every control value, the histogram CSV written one
 outcome at a time, the tries-until-factor run one seed at a time, the
 greedy control search over ``Control`` objects and as numpy reductions,
 the breadth-first flip-path search, the set-based synthesis level, and
@@ -33,7 +34,13 @@ from truncshor.circuit import (
     permutation_table,
 )
 from truncshor.experiments import TryOutcome
-from truncshor.modmath import CycleDecomposition, FactoringInstance, Orbit, extract_factors
+from truncshor.modmath import (
+    CycleDecomposition,
+    FactoringInstance,
+    Orbit,
+    check_period,
+    extract_factors,
+)
 from truncshor.shor import PhaseDistribution
 from truncshor.synth import ProtectedCollisionError
 
@@ -243,6 +250,22 @@ def run_shor_dense(
     transformed = np.fft.fft(rows, axis=1) / math.sqrt(M)
     probs = (np.abs(transformed) ** 2).sum(axis=0)
     return PhaseDistribution(m=m, probabilities=probs)
+
+
+def factor_mask_oracle(instance: FactoringInstance) -> np.ndarray:
+    """``FactoringInstance.factor_mask`` as one vectorized Euclid pass over all of l."""
+    r = instance.r
+    mask = np.zeros(instance.M, dtype=bool)
+    if check_period(instance, r).accepted:
+        l = np.arange(1, instance.M)  # l = 0 has the single denominator 1
+        u, v, q, q_prev = np.full_like(l, instance.M), l, np.ones_like(l), np.zeros_like(l)
+        while l.size:
+            u, v, q, q_prev = v, u % v, (u // v) * q + q_prev, q
+            hit = q % (2 * r) == r
+            mask[l[hit]] = True
+            keep = ~hit & (v != 0)
+            l, u, v, q, q_prev = l[keep], u[keep], v[keep], q[keep], q_prev[keep]
+    return mask
 
 
 def histogram_csv_loop(

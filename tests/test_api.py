@@ -83,6 +83,7 @@ STAGES = {
     "tries_until_factor": ["instance", "dist", "seed", "max_tries"],
     "tries_ensemble": ["cells", "seeds", "max_tries"],
     "sample": ["dist", "shots", "seed"],
+    "histogram_chunks": ["instance", "dist", "counts"],
     "histogram_csv": ["instance", "dist", "counts"],
 }
 

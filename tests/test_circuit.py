@@ -67,6 +67,33 @@ def test_gate_controls_sorted():
     assert [c.qubit for c in g.controls] == [1, 3]
 
 
+def test_unsorted_json_controls_are_stored_ascending():
+    data = {"n_qubits": 6, "power": 1, "trnc_lv": 0, "version": "per_power", "levels": [[
+        {"gate": "mcx", "target": 2, "controls": [
+            {"q": 5, "neg": False}, {"q": 0, "neg": True}, {"q": 3, "neg": False}]},
+        {"gate": "mcx", "target": 4, "controls": [{"q": 1, "neg": True}, {"q": 2, "neg": False}]},
+    ]]}
+    first, second = from_json_dict(data).levels[0]
+    assert first.controls == (Control(0, negated=True), Control(3), Control(5))
+    assert second.controls == (Control(1, negated=True), Control(2))
+    # ascending controls given as a list are kept in their order, as a tuple
+    assert Gate(target=0, controls=[Control(1), Control(4)]).controls == (Control(1), Control(4))
+
+
+@pytest.mark.parametrize("target, controls, message", [
+    (1, (Control(3), Control(0), Control(3, negated=True)), "duplicate control qubits in [3, 0, 3]"),
+    (1, (Control(0), Control(0)), "duplicate control qubits in [0, 0]"),
+    (2, (Control(4), Control(2)), "target 2 is also a control"),
+    (2, (Control(1), Control(2)), "target 2 is also a control"),
+    (0, (Control(3), Control(-1)), "negative qubit in gate on 0 with controls [3, -1]"),
+    (-1, (Control(1), Control(3)), "negative qubit in gate on -1 with controls [1, 3]"),
+])
+def test_gate_errors_do_not_depend_on_control_order(target, controls, message):
+    with pytest.raises(ValueError) as exc:
+        Gate(target=target, controls=controls)
+    assert str(exc.value) == message
+
+
 def test_mcx_truth_table():
     # fires when q0 = 1 and q2 = 0
     g = Gate(target=1, controls=(Control(0), Control(2, negated=True)))

@@ -7,10 +7,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import truncshor
-from truncshor import cli
+from truncshor import FactoringInstance, PhaseDistribution, cli, histogram_csv
 from truncshor.cli import _parse_powers, _parse_range, main
 
 from qasm_grammar import validate_qasm3
@@ -208,6 +209,109 @@ def test_run_takes_shots_up_to_the_int64_cap(capsys):
     rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == 32
     assert sum(int(r["counts"]) for r in rows) == (1 << 63) - 1
+
+
+def _histogram_inputs(m, rows, with_counts):
+    """A distribution (and counts) over m bits whose histogram has exactly ``rows`` rows.
+
+    Outcomes outside the rows have probability 0, 2e-16 or exactly 1e-15. With
+    counts, every third row is kept for its count alone, at such a probability.
+    """
+    rng = np.random.default_rng(rows)
+    M = 1 << m
+    kept = np.sort(rng.choice(M, rows, replace=False))
+    p = rng.choice([0.0, 2e-16, 1e-15], M)
+    probable = kept
+    counts = None
+    if with_counts:
+        counts = np.zeros(M, dtype=np.int64)
+        counts[kept[::3]] = rng.integers(1, 1000, len(kept[::3]))
+        counts[kept[1::3]] = rng.integers(0, 2, len(kept[1::3]))
+        probable = np.setdiff1d(kept, kept[::3])
+    p[probable] = rng.random(len(probable)) + 1e-9
+    return PhaseDistribution(m=m, probabilities=p), counts
+
+
+@pytest.mark.parametrize("with_counts", [False, True], ids=["no counts", "counts"])
+@pytest.mark.parametrize("rows", [4095, 4096, 4097, 8193])
+def test_run_streams_the_bytes_of_histogram_csv(tmp_path, capsys, monkeypatch, rows, with_counts):
+    # 4096-row chunks: one short of a chunk, one chunk, one past it, two chunks and one row
+    dist, counts = _histogram_inputs(14, rows, with_counts)
+    monkeypatch.setattr(cli, "exact_distribution", lambda instance, images: dist)
+    monkeypatch.setattr(cli, "sample", lambda dist, shots, seed: counts)
+    expected = histogram_csv(FactoringInstance(N=143, a=5, m=14), dist, counts)
+    assert expected.count("\n") == 1 + rows
+    argv = ["run", "--N", "143", "--a", "5", "--m", "14"]
+    if with_counts:
+        argv += ["--shots", "4096", "--seed", "1"]
+    out_file = tmp_path / "hist.csv"
+    code, out, err = run_cli(capsys, "--quiet", *argv, "--out", str(out_file))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"event": "run", "out": str(out_file), "rows": rows}
+    assert out_file.read_bytes() == expected.encode()
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_run_counts_shape_error_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample", lambda dist, shots, seed: np.ones(31, dtype=np.int64))
+    argv = ["run", "--N", "21", "--a", "2", "--m", "5", "--shots", "10", "--seed", "1"]
+    message = "error: counts of shape (31,), need (32,) for m=5\n"
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "hist.csv")) == (2, "", message)
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def test_run_failing_after_its_first_chunk_leaves_the_target_alone(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "hist.csv"
+    target.write_text("old\n")
+
+    def failing_chunks(instance, dist, counts):
+        yield "ell,phase_binary,phase_decimal,probability,counts,produces_factors\n"
+        raise ValueError("no second chunk")
+
+    monkeypatch.setattr(cli, "histogram_chunks", failing_chunks)
+    code, _, err = run_cli(capsys, "run", "--N", "21", "--a", "2", "--m", "5", "--out", str(target))
+    assert (code, err) == (2, "error: no second chunk\n")
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "old\n"
+
+    def interrupted_chunks():
+        yield "new\n"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        cli._write_atomic(target, interrupted_chunks())
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "old\n"
+
+
+def test_run_writes_its_csv_within_about_one_chunk(tmp_path, capsys, monkeypatch):
+    # The m = 16 histogram is 65,536 rows, 4.5 MB of text, which the CLI used to hold
+    # twice (its chunks and their join). Streamed, what it allocates beyond the
+    # distribution and counts is one chunk (290 kB of text, about 1 MB of Python
+    # values), the kept outcomes (0.5 MiB) and one Euclid block of factor_mask.
+    sample = cli.sample
+    held = []
+
+    def sample_then_reset_peak(dist, shots, seed):
+        counts = sample(dist, shots, seed)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return counts
+
+    monkeypatch.setattr(cli, "sample", sample_then_reset_peak)
+    out_file = tmp_path / "hist.csv"
+    tracemalloc.start()
+    try:
+        code = main(["--quiet", "run", "--N", "143", "--a", "5", "--m", "16", "--trnc-lv", "10",
+                     "--shots", "4096", "--seed", "1905", "--out", str(out_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 1 << 16
+    assert out_file.stat().st_size > 4 << 20
+    assert peak - held[0] < 3 << 20
 
 
 def test_run_requires_seed_for_shots(capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -22,7 +23,7 @@ from truncshor import (
 from truncshor.shor import nearest_phase_bin
 
 from conftest import CASES
-from oracles import cycle_decomposition_scan
+from oracles import cycle_decomposition_scan, factor_mask_oracle
 from reference_data import ORBITS
 
 
@@ -310,6 +311,49 @@ def test_factor_mask_matches_analysis(N, a, m):
     inst = FactoringInstance(N=N, a=a, m=m)
     expected = [analyze_measurement(inst, l).factors is not None for l in range(inst.M)]
     assert inst.factor_mask.tolist() == expected
+
+
+@pytest.mark.parametrize("block, max_m", [(1, 10), (3, 10), (truncshor.modmath._EUCLID_BLOCK, 13)])
+def test_blocked_factor_mask_equals_one_pass(monkeypatch, block, max_m):
+    # Every odd N in 15..63, every coprime a and every m in 1..min(2n+1, max_m): blocks
+    # of 1 and 3 values cost about 50 and 20 us per l, so they stop at M = 1024. The
+    # mask depends on (N, a) only through r and whether check_period accepts it, so
+    # each block size runs once per (r, accepted, m); every accepted r is in 2..20.
+    monkeypatch.setattr(truncshor.modmath, "_EUCLID_BLOCK", block)
+    seen = set()
+    for N in range(15, 64, 2):
+        for a in (a for a in range(2, N) if gcd(a, N) == 1):
+            base = FactoringInstance(N=N, a=a, m=1)
+            accepted = check_period(base, base.r).accepted
+            for m in range(1, min(2 * base.n + 1, max_m) + 1):
+                if (base.r, accepted, m) in seen:
+                    continue
+                seen.add((base.r, accepted, m))
+                inst = FactoringInstance(N=N, a=a, m=m)
+                assert inst.factor_mask.tolist() == factor_mask_oracle(inst).tolist(), (N, a, m)
+    assert {r for r, accepted, _ in seen if accepted} == {2, 4, 6, 8, 10, 12, 16, 18, 20}
+
+
+@pytest.mark.parametrize("N, a, m", [(143, 5, 17), (247, 2, 16)])
+def test_factor_mask_over_several_blocks_equals_one_pass(N, a, m):
+    inst = FactoringInstance(N=N, a=a, m=m)
+    assert inst.M >= 4 * truncshor.modmath._EUCLID_BLOCK
+    assert inst.factor_mask.any()
+    assert inst.factor_mask.tolist() == factor_mask_oracle(inst).tolist()
+
+
+def test_factor_mask_temporaries_are_one_block():
+    # one pass over all 2^20 values of l held five int64 arrays and their
+    # compressed copies: an 82.9 MiB peak
+    inst = FactoringInstance(N=1001, a=2, m=20)
+    tracemalloc.start()
+    try:
+        mask = inst.factor_mask
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert mask.shape == (1 << 20,) and mask.any()
 
 
 def test_factor_mask_is_cached_and_read_only():
