@@ -10,8 +10,10 @@ is reproducible bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import operator
 from dataclasses import dataclass, replace
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -48,6 +50,91 @@ def derive_seed(base_seed: int, *parts: int) -> int:
     return x
 
 
+# numpy's SeedSequence hashing (after O'Neill's seed_seq): pool, mixing and output constants.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays; each call advances the shared constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value *= const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for each row of a seed's uint32
+    words (least significant first, at least ``_POOL`` of them), all rows at once."""
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[1]):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    output = _hasher(_INIT_B, _MULT_B)
+    words = [output(pool[i % _POOL]).astype(np.uint64) for i in range(2 * _POOL)]
+    return np.stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], axis=1)
+
+
+@functools.cache
+def _precomputed_seed_type() -> type:
+    """An ``ISeedSequence`` that hands PCG64 given state words (PCG64 only asks for
+    ``generate_state(4, np.uint64)``). Made once, on first use, so that importing
+    this module does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Precomputed(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return Precomputed
+
+
+def _generators(seeds: Sequence[int]) -> list:
+    """``[np.random.default_rng(seed) for seed in seeds]``, the same streams, with the
+    SeedSequence hashing done for all seeds at once.
+
+    A seed's entropy is its uint32 words; a seed below 2**128 is zero-padded to
+    ``_POOL`` words, as SeedSequence fills missing pool words with hashmix(0).
+    Longer seeds are hashed in groups of equal word count.
+    """
+    from numpy.random import PCG64, Generator
+
+    precomputed = _precomputed_seed_type()
+    seeds = [operator.index(seed) for seed in seeds]
+    groups: dict[int, list[int]] = {}
+    for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        groups.setdefault(max(_POOL, -(-seed.bit_length() // 32)), []).append(i)
+    out: list = [None] * len(seeds)
+    for width, members in groups.items():
+        blob = b"".join(seeds[i].to_bytes(4 * width, "little") for i in members)
+        states = _pcg64_states(np.frombuffer(blob, dtype="<u4").reshape(-1, width))
+        for i, state in zip(members, states):
+            out[i] = Generator(PCG64(precomputed(state)))
+    return out
+
+
 @dataclass(frozen=True)
 class TryOutcome:
     """Result of one tries-until-factor run."""
@@ -79,7 +166,7 @@ def tries_ensemble(
             raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
     outcomes = [[TryOutcome(tries=max_tries, capped=True)] * len(seeds) for _ in cells]
     pending = np.array([[inst.factor_mask.any()] * len(seeds) for inst, _ in cells], dtype=bool)
-    rngs = [np.random.default_rng(seed) for seed in seeds] if pending.any() else []
+    rngs = _generators(seeds) if pending.any() else []
     pairs: dict[int, tuple[int, int]] = {}
     offset, size = 0, 16
     while offset < max_tries and (drawn := np.flatnonzero(pending.any(axis=0))).size:

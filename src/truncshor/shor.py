@@ -122,6 +122,12 @@ def _power_blocks(order: np.ndarray, bounds: np.ndarray, M: int, workers: int, s
     """
     distinct = len(bounds) - 1
     spaces = [(np.empty((size, M), complex), np.empty((size, M))) for _ in range(workers)]
+    # numpy's FFT allocates a block-sized scratch on every call. Until a chunk that
+    # large has been freed, glibc maps each one afresh and unmaps it on free, so
+    # every call faults its scratch in again. Dropping one such chunk before the
+    # first transform raises glibc's mmap and trim thresholds, and the scratch
+    # stays mapped between calls.
+    np.empty((size, M), complex)
     jobs = [
         (*spaces[i % workers], order, bounds, start, min(start + size, distinct))
         for i, start in enumerate(range(0, distinct, size))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import truncshor.synth
@@ -41,3 +46,12 @@ def synth_calls(monkeypatch):
 
     monkeypatch.setattr(truncshor.synth, "synth_me_operator", counting)
     return calls
+
+
+def run_fresh(probe: str) -> str:
+    """Standard output of ``probe`` run in a fresh interpreter that imports this checkout's truncshor."""
+    src = str(Path(truncshor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    return out.stdout.strip()

@@ -1,9 +1,6 @@
 import csv
 import json
-import os
 import stat
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +11,7 @@ import truncshor
 from truncshor import FactoringInstance, PhaseDistribution, cli, histogram_csv
 from truncshor.cli import _parse_powers, _parse_range, main
 
+from conftest import run_fresh
 from qasm_grammar import validate_qasm3
 
 
@@ -364,6 +362,14 @@ def test_factor_command(capsys):
     assert "21 = " in out and "7" in out and "3" in out
 
 
+@pytest.mark.parametrize("seed, out", [
+    (2**64, "143 = 11 x 13 (l = 359, tries = 2)\n"),  # 3 uint32 words
+    (2**128 + 1, "143 = 11 x 13 (l = 461, tries = 1)\n"),  # 5 words: past SeedSequence's pool
+], ids=["2**64", "2**128+1"])
+def test_factor_seeds_past_64_bits(capsys, seed, out):
+    assert run_cli(capsys, "factor", "--N", "143", "--a", "5", "--m", "10", "--seed", str(seed)) == (0, out, "")
+
+
 def test_factor_non_coprime(capsys):
     code, out, _ = run_cli(
         capsys, "factor", "--N", "21", "--a", "7", "--m", "5", "--seed", "1"
@@ -510,12 +516,15 @@ def test_missing_seed_is_argparse_error(capsys):
 
 def test_cli_import_loads_no_thread_pool():
     """The exact distribution imports concurrent.futures only when it starts a pool."""
-    src = str(Path(truncshor.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, truncshor.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(probe) == "[]"
+
+
+def test_cli_import_loads_no_numpy_random():
+    """numpy.random is imported only when generators are made: loaded at start-up it
+    would add to every command's set-up time and to the peak RSS of ``run``."""
+    probe = "import sys, truncshor.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    assert run_fresh(probe) == "[]"
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory in the way"])

@@ -84,7 +84,7 @@ def test_chunked_draws_match_one_call(monkeypatch, instances):
     p[0], p[5] = 299.0, 1.0  # l = 5 wins once in 300 tries, l = 0 never
     dist = PhaseDistribution(m=inst.m, probabilities=p)
     sizes = []
-    default_rng = np.random.default_rng
+    generators = truncshor.experiments._generators
 
     class RecordingGenerator(np.random.Generator):
         def random(self, size):
@@ -92,7 +92,9 @@ def test_chunked_draws_match_one_call(monkeypatch, instances):
             return super().random(size)
 
     monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: RecordingGenerator(default_rng(seed).bit_generator)
+        truncshor.experiments,
+        "_generators",
+        lambda seeds: [RecordingGenerator(g.bit_generator) for g in generators(seeds)],
     )
 
     def run(seed, max_tries):
@@ -124,16 +126,32 @@ def test_chunked_draws_match_one_call(monkeypatch, instances):
             assert run(seed, max_tries) == one_call_oracle(inst, dist, seed, max_tries)
 
 
+def test_generators_give_the_default_rng_streams():
+    # Edge seeds: word-count boundaries of SeedSequence's uint32 entropy (4 words fill
+    # its pool; more take its extra-word mixing).
+    edges = [0, 1, 5, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160 + 3]
+    randoms = np.random.default_rng(20).integers(0, 2**64, 300, dtype=np.uint64).tolist()
+    seeds = edges + randoms + edges
+    for generator, seed in zip(truncshor.experiments._generators(seeds), seeds, strict=True):
+        reference = np.random.default_rng(seed)
+        for size in (16, 32, 40):
+            assert np.array_equal(generator.random(size), reference.random(size)), (seed, size)
+    with pytest.raises(ValueError, match="non-negative"):
+        truncshor.experiments._generators([3, -1])
+    with pytest.raises(ValueError, match="non-negative"):
+        tries_until_factor(FactoringInstance(N=21, a=2, m=5), PhaseDistribution(5, np.full(32, 1 / 32)), -1)
+
+
 @pytest.mark.parametrize("N, a", [(21, 4), (25, 2)])  # odd r; a**(r/2) = -1 mod N
 def test_instance_without_factor_outcomes_draws_nothing(monkeypatch, N, a):
     inst = FactoringInstance(N=N, a=a, m=5)
     assert not inst.factor_mask.any()
     dist = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
 
-    def no_rng(seed):
-        raise AssertionError("default_rng called")
+    def no_generators(seeds):
+        raise AssertionError("generators made")
 
-    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    monkeypatch.setattr(truncshor.experiments, "_generators", no_generators)
     outcome = tries_until_factor(inst, dist, seed=1, max_tries=77)
     assert outcome == TryOutcome(tries=77, capped=True)
 
@@ -324,7 +342,12 @@ def test_tries_until_factor_builds_no_report_and_calls_no_choice(monkeypatch, in
 
     for module in (truncshor, truncshor.modmath, truncshor.experiments):
         monkeypatch.setattr(module, "analyze_measurement", no_report, raising=False)
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoChoice(np.random.PCG64(seed)))
+    generators = truncshor.experiments._generators
+    monkeypatch.setattr(
+        truncshor.experiments,
+        "_generators",
+        lambda seeds: [NoChoice(g.bit_generator) for g in generators(seeds)],
+    )
     inst = instances[143]
     circuits = truncate(synth_all_powers(build_orbit(inst), inst.m), 11)
     outcome = tries_until_factor(inst, exact_distribution(inst, work_images(circuits, inst.M)), seed=9)
@@ -395,10 +418,10 @@ def test_tries_ensemble_in_blocks_of_few_seeds(monkeypatch):
 
 
 def test_tries_ensemble_checks_every_cell_before_any_generator(monkeypatch):
-    def no_rng(seed):
-        raise AssertionError("default_rng called")
+    def no_generators(seeds):
+        raise AssertionError("generators made")
 
-    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    monkeypatch.setattr(truncshor.experiments, "_generators", no_generators)
     uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
     barren = [(FactoringInstance(N=21, a=4, m=5), uniform), (FactoringInstance(N=25, a=2, m=5), uniform)]
     assert tries_ensemble(barren, [1, 2, 3], 9) == [[TryOutcome(tries=9, capped=True)] * 3] * 2
@@ -412,13 +435,15 @@ def test_tries_ensemble_checks_every_cell_before_any_generator(monkeypatch):
 
 def test_resolution_study_makes_one_generator_per_seed_and_level(monkeypatch):
     # both widths of a level read the same seeds, so one generator serves them
-    seeds = []
-    default_rng = np.random.default_rng
+    seeds, calls = [], []
+    generators = truncshor.experiments._generators
 
-    def recording(seed):
-        seeds.append(seed)
-        return default_rng(seed)
+    def recording(level_seeds):
+        calls.append(len(level_seeds))
+        seeds.extend(level_seeds)
+        return generators(level_seeds)
 
-    monkeypatch.setattr(np.random, "default_rng", recording)
+    monkeypatch.setattr(truncshor.experiments, "_generators", recording)
     resolution_study(FactoringInstance(N=143, a=5, m=10), [8, 10], [0, 11, 19], 5, 3)
     assert seeds == [derive_seed(3, t, i) for t in (0, 11, 19) for i in range(5)]
+    assert calls == [5, 5, 5]  # one pass per level

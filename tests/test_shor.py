@@ -3,6 +3,7 @@ import concurrent.futures
 import itertools
 import math
 import os
+import platform
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from truncshor import (
     work_images,
 )
 
-from conftest import CASES
+from conftest import CASES, run_fresh
 from oracles import (
     TooLargeError,
     analytic_amplitude,
@@ -233,6 +234,26 @@ def test_exact_distribution_below_pool_size_starts_no_thread(monkeypatch):
     circuits = truncate(synth_all_powers(build_orbit(inst), 16), 10)
     dist = exact_distribution(inst, work_images(circuits, inst.M))
     assert dist.probabilities.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the scratch faults come from glibc's mmap threshold",
+)
+def test_first_exact_distribution_keeps_fft_scratch_mapped():
+    # 177 distinct images, the histogram workload's count at m = 16: 45 blocks of 4 rows.
+    # Faulting each block's ~4 MiB of FFT scratch in afresh comes to about 46,000 faults.
+    probe = """
+import resource
+import numpy as np
+from truncshor import FactoringInstance, exact_distribution
+inst = FactoringInstance(N=143, a=5, m=16)
+images = np.arange(inst.M) % 177
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+exact_distribution(inst, images)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    assert int(run_fresh(probe)) < 15_000
 
 
 def test_analytic_amplitude_examples():
