@@ -35,7 +35,7 @@ VERSION_TRUNCATED = "truncated"
 _VERSIONS = (VERSION_CONCATENATED, VERSION_PER_POWER, VERSION_TRUNCATED)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Control:
     """A control qubit; ``negated`` means the gate fires when the bit is 0."""
 
@@ -43,7 +43,7 @@ class Control:
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """NOT on ``target`` when every control matches; no controls = plain X."""
 
@@ -91,15 +91,12 @@ class LeveledCircuit:
             raise ValueError(f"unknown version {self.version!r}")
         if not 0 <= self.trnc_lv <= len(self.levels):
             raise ValueError(f"trnc_lv={self.trnc_lv} out of range")
-        object.__setattr__(self, "_gates", _Gates(self.gates()))
-        if (width := self._gates.width) > self.n_qubits:
+        if (width := _width(self.gates())) > self.n_qubits:
             raise ValueError(f"a gate on qubit {width - 1} is outside {self.n_qubits} qubits")
         for level in self.levels[len(self.levels) - self.trnc_lv :]:
             if level:
                 raise ValueError("truncated levels must be empty")
-        object.__setattr__(
-            self, "levels", tuple(tuple(level) for level in self.levels)
-        )
+        object.__setattr__(self, "levels", tuple(tuple(level) for level in self.levels))
 
     @property
     def num_levels(self) -> int:
@@ -123,15 +120,11 @@ class PermutationTable:
         return {"domain": list(self.domain), "image": list(self.image)}
 
 
-class _Gates(tuple):
-    """Gates in order, with ``width``, the qubits they span, counted once."""
-
-    def __new__(cls, gates: Iterable[Gate]) -> "_Gates":
-        seq = super().__new__(cls, gates)
-        # a gate's controls are sorted by qubit, so the last one is its highest
-        seq.width = 1 + max([g.target for g in seq]
-                            + [g.controls[-1].qubit for g in seq if g.controls], default=-1)
-        return seq
+def _width(gates: Iterable[Gate]) -> int:
+    """The qubits the gates span: one more than the highest qubit any of them touches."""
+    # a gate's controls are sorted by qubit, so the last one is its highest
+    return 1 + max((max(g.target, g.controls[-1].qubit) if g.controls else g.target
+                    for g in gates), default=-1)
 
 
 def _planes(values: Iterable[int] | np.ndarray, n_qubits: int) -> list[int]:
@@ -162,9 +155,9 @@ def apply_gates(gates: Iterable[Gate], values: np.ndarray) -> np.ndarray:
     are unpacked together and weighted by their bits into one int64 of flips
     per state, so the extra memory is about 8 bytes per state and changed plane.
     """
-    gates = gates if isinstance(gates, _Gates) else _Gates(gates)
+    gates = tuple(gates)
     count = len(values)
-    planes = _planes(values, gates.width)
+    planes = _planes(values, _width(gates))
     start = list(planes)
     _apply_planes(gates, planes, (1 << count) - 1)
     changed = [q for q, (before, after) in enumerate(zip(start, planes)) if before != after]
@@ -191,7 +184,7 @@ def apply_to_basis_array(circuit: LeveledCircuit, values: Iterable[int] | np.nda
     values = np.array(values, dtype=np.int64)
     if values.size and not (0 <= values.min() and values.max() < 1 << circuit.n_qubits):
         raise ValueError(f"basis states outside {circuit.n_qubits} qubits")
-    return apply_gates(circuit._gates, values)
+    return apply_gates(circuit.gates(), values)
 
 
 def permutation_table(circuit: LeveledCircuit, domain: Iterable[int]) -> PermutationTable:

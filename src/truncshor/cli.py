@@ -30,6 +30,7 @@ from .synth import ProtectedCollisionError, check_trnc_lv, synth_all_powers, syn
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_FACTORS = 3
+MAX_WIDTH = 63  # widest work register: the bit planes and the work images are int64
 
 
 def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
@@ -108,6 +109,18 @@ def _parse_widths(spec: str) -> list[int]:
     return widths
 
 
+def _at_least(option: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{option} must be >= {low}, got {value}")
+
+
+def _within_width(instance: FactoringInstance) -> FactoringInstance:
+    """The instance, if its work register fits MAX_WIDTH bits; checked before any orbit is built."""
+    if instance.n > MAX_WIDTH:
+        raise ValueError(f"--N must be < 2^{MAX_WIDTH}, got {instance.N}")
+    return instance
+
+
 def _report_common_factor(args: argparse.Namespace, e: NotCoprimeError, **extra) -> int:
     _emit(
         args,
@@ -134,7 +147,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    orbit = build_orbit(FactoringInstance(N=args.N, a=args.a, m=1))
+    orbit = build_orbit(_within_width(FactoringInstance(N=args.N, a=args.a, m=1)))
     powers = _parse_powers(args.powers)
     check_trnc_lv(args.trnc_lv, orbit.r)
     circuits = truncate(synth_powers(orbit, powers), args.trnc_lv)
@@ -142,14 +155,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     certs: dict[int, str] = {}  # by circuit identity: congruent powers share one circuit
     for p, shared in zip(powers, circuits):
-        circ = dataclasses.replace(shared, power=p)
         stem = f"me_N{args.N}_a{args.a}_p{p}_trnc{args.trnc_lv}"
-        if args.format == "json":
+        if args.format == "json":  # the file records its power; QASM text has none
             path = out_dir / f"{stem}.json"
-            _write_atomic(path, [circuit_mod.to_json(circ, indent=2) + "\n"])
+            _write_atomic(path, [circuit_mod.to_json(dataclasses.replace(shared, power=p), indent=2) + "\n"])
         else:
             path = out_dir / f"{stem}.qasm"
-            _write_atomic(path, [qasm.to_qasm3(circ)])
+            _write_atomic(path, [qasm.to_qasm3(shared)])
         if id(shared) not in certs:
             cert = circuit_mod.permutation_table(shared, orbit.states)
             certs[id(shared)] = json.dumps(cert.to_json_dict(), indent=2) + "\n"
@@ -157,22 +169,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
         _write_atomic(cert_path, [certs[id(shared)]])
         _emit(
             args,
-            {"event": "synth", "power": p, "file": str(path), "gates": circ.gate_count()},
-            f"U^{p}: {circ.gate_count()} gates -> {path} (+ {cert_path.name})",
+            {"event": "synth", "power": p, "file": str(path), "gates": shared.gate_count()},
+            f"U^{p}: {shared.gate_count()} gates -> {path} (+ {cert_path.name})",
         )
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.shots < 0:
-        raise ValueError(f"--shots must be >= 0, got {args.shots}")
+    _at_least("--shots", args.shots, 0)
     if args.shots >= 1 << 63:  # the multinomial counts are int64
         raise ValueError(f"--shots must be < 2^63, got {args.shots}")
     if args.shots and args.seed is None:
         raise ValueError("--seed is required when --shots > 0")
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    instance = FactoringInstance(N=args.N, a=args.a, m=args.m)
+    if args.seed is not None:
+        _at_least("--seed", args.seed, 0)
+    instance = _within_width(FactoringInstance(N=args.N, a=args.a, m=args.m))
     orbit = build_orbit(instance)
     check_trnc_lv(args.trnc_lv, orbit.r)
     circuits = truncate(synth_all_powers(orbit, args.m), args.trnc_lv)
@@ -191,13 +202,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     try:
-        instance = FactoringInstance(N=args.N, a=args.a, m=args.m)
+        instance = _within_width(FactoringInstance(N=args.N, a=args.a, m=args.m))
     except NotCoprimeError as e:
         return _report_common_factor(args, e, tries=0)
-    if args.max_tries < 1:
-        raise ValueError(f"--max-tries must be >= 1, got {args.max_tries}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    _at_least("--max-tries", args.max_tries, 1)
+    _at_least("--seed", args.seed, 0)
     orbit = build_orbit(instance)
     check_trnc_lv(args.trnc_lv, orbit.r)
     circuits = truncate(synth_all_powers(orbit, args.m), args.trnc_lv)
@@ -233,11 +242,10 @@ def cmd_study(args: argparse.Namespace) -> int:
         raise ValueError(f"--out {args.out} ends in .json, so the CSV and its .json mirror "
                          "would be one file")
     m_values = _parse_widths(args.m)
-    instance = FactoringInstance(N=args.N, a=args.a, m=max(m_values))
+    instance = _within_width(FactoringInstance(N=args.N, a=args.a, m=max(m_values)))
     trnc_levels = _parse_range(args.trnc, "--trnc")
-    for option, value in (("--num-it", args.num_it), ("--max-tries", args.max_tries)):
-        if value < 1:
-            raise ValueError(f"{option} must be >= 1, got {value}")
+    _at_least("--num-it", args.num_it, 1)
+    _at_least("--max-tries", args.max_tries, 1)
     cells = resolution_study(
         instance,
         m_values,

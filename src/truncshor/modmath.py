@@ -127,7 +127,8 @@ class Orbit:
         return len(self.states)
 
 
-# Longest orbit build_orbit stores: 2**20 Python ints take about 40 MiB.
+# Longest orbit build_orbit stores. Storing all 2**20 states peaks about 56 MiB above the
+# import at a 61-bit N and about 175 MiB at 1,000 bits: the cost grows with N's bit length.
 MAX_PERIOD = 1 << 20
 
 

@@ -40,13 +40,9 @@ class ProtectedCollisionError(RuntimeError):
     """No bit-flip path around the protected set; valid input can reach it (N=19, a=2, p=1)."""
 
 
-# _CONTROLS[n][q][negated]: the 2n controls of an n-qubit register, made once;
-# they are immutable, so every gate shares them.
-_CONTROLS: dict[int, tuple[tuple[Control, Control], ...]] = {}
-
-
 def _greedy_controls(
-    planes: list[int], slots: int, fire_value: int, n_qubits: int, target: int
+    planes: list[int], slots: int, fire_value: int, interned: Sequence[tuple[Control, Control]],
+    target: int,
 ) -> tuple[Control, ...]:
     """The greedy control search against the values in the ``slots`` mask of ``planes``.
 
@@ -58,12 +54,11 @@ def _greedy_controls(
     """
     differs = [plane & slots ^ (slots if fire_value >> q & 1 else 0) if q != target else 0
                for q, plane in enumerate(planes)]
+    n_qubits = len(planes)
     below = [0] * n_qubits  # below[q]: union of differs over the bits under q
     for q in range(1, n_qubits):
         below[q] = below[q - 1] | differs[q - 1]
-    if n_qubits not in _CONTROLS:
-        _CONTROLS[n_qubits] = tuple((Control(q), Control(q, negated=True)) for q in range(n_qubits))
-    kept, controls, interned = 0, [], _CONTROLS[n_qubits]
+    kept, controls = 0, []
     for q in reversed(range(n_qubits)):
         if q != target and kept | below[q] != slots:
             kept |= differs[q]
@@ -86,13 +81,15 @@ def minimize_controls(
     the empty control set.
     """
     state = _Trajectories(forbidden, (), n_qubits)
-    return _greedy_controls(state.planes, state.slots, fire_value, n_qubits, target)
+    return _greedy_controls(state.planes, state.slots, fire_value, state.controls, target)
 
 
 class _Trajectories:
     """One synthesis state: avoided values as slots in n bit planes, and the sealed values.
 
     Bit i of ``planes[q]`` is bit q of the value in ``slot``-numbered slot i.
+    ``controls[q][negated]`` are the register's 2n controls, made once; they
+    are immutable, so every gate the state builds shares them.
     """
 
     def __init__(self, values: Iterable[int], sealed: Iterable[int], n_qubits: int) -> None:
@@ -101,6 +98,7 @@ class _Trajectories:
         self.slots = (1 << len(self.slot)) - 1
         self.sealed = set(sealed)
         self.n_qubits = n_qubits
+        self.controls = tuple((Control(q), Control(q, negated=True)) for q in range(n_qubits))
 
     def path(self, current: int, target: int) -> list[int]:
         """Shortest single-bit-flip path from current to target avoiding sealed values.
@@ -171,7 +169,7 @@ class _Trajectories:
         moves to u. The slot at current, the source's own, keeps that value
         for the whole level and stays avoided after the first step.
         """
-        planes, slot, n_qubits = self.planes, self.slot, self.n_qubits
+        planes, slot, interned = self.planes, self.slot, self.controls
         gates: list[Gate] = []
         path = self.path(current, target)
         for u, v in zip(path, path[1:]):
@@ -180,7 +178,7 @@ class _Trajectories:
             for w in (u, v):
                 if w in slot:
                     slots &= ~(1 << slot[w])
-            gates.append(Gate(target=bit, controls=_greedy_controls(planes, slots, u, n_qubits, bit)))
+            gates.append(Gate(target=bit, controls=_greedy_controls(planes, slots, u, interned, bit)))
             if v in slot:
                 i = slot[u] = slot.pop(v)
                 planes[bit] ^= 1 << i

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,27 @@ def test_synthesis_keeps_no_2_to_the_n_state():
     for name in ("_low_halves", "_LOW_HALVES", "np"):
         assert not hasattr(truncshor.synth, name)
     assert not hasattr(truncshor.synth._Trajectories((), (), 3), "free")
+
+
+def test_each_gate_is_stored_once():
+    # slotted gate records, no hidden flat copy of a circuit's gates, no module-global controls
+    assert not hasattr(truncshor.circuit, "_Gates")
+    assert not hasattr(truncshor.synth, "_CONTROLS")
+    circuit = truncshor.LeveledCircuit(n_qubits=2, power=1, levels=((truncshor.Gate(0),),))
+    assert not hasattr(circuit, "_gates")
+    assert not hasattr(truncshor.Gate(0), "__dict__")
+    assert not hasattr(truncshor.Control(0), "__dict__")
+
+
+def test_synthesized_gates_keep_at_most_200_bytes_each():
+    orbit = truncshor.build_orbit(truncshor.FactoringInstance(N=4087, a=3, m=1))
+    tracemalloc.start()
+    try:
+        circuit = truncshor.synth_me_operator(orbit, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 200 * circuit.gate_count()
 
 
 def test_one_distribution_type():

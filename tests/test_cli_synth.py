@@ -74,3 +74,45 @@ def test_synth_rejects_non_integer_power(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: --powers takes integers, got '1:x'\n"
     assert not out_dir.exists()
+
+
+def _no_orbit(*args):
+    raise AssertionError("the orbit was built before the modulus width was checked")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("synth", ["--powers", "1", "--out", "circuits"]),
+    ("run", ["--m", "3"]),
+    ("factor", ["--m", "3", "--seed", "1"]),
+    ("study", ["--m", "3", "--trnc", "0", "--seed", "1", "--out", "s.csv"]),
+])
+def test_a_modulus_wider_than_63_bits_exits_before_the_orbit(
+    tmp_path, capsys, monkeypatch, command, extra
+):
+    # the bit planes and the work images are int64
+    for module in (truncshor.cli, truncshor.experiments):
+        monkeypatch.setattr(module, "build_orbit", _no_orbit)
+    monkeypatch.chdir(tmp_path)
+    N = (1 << 63) + 1
+    assert main([command, "--N", str(N), "--a", "2", *extra]) == 2
+    assert capsys.readouterr() == ("", f"error: --N must be < 2^63, got {N}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_factor_reports_a_common_factor_of_a_wide_modulus_first(capsys, monkeypatch):
+    monkeypatch.setattr(truncshor.cli, "build_orbit", _no_orbit)
+    N = (1 << 63) + 1  # divisible by 3
+    assert main(["factor", "--N", str(N), "--a", "3", "--m", "3", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == f"gcd(3, {N}) = 3: factors 3 x {N // 3}\n"
+
+
+def test_orbit_takes_any_width_and_63_bits_still_synthesize(tmp_path, capsys):
+    assert main(["--quiet", "orbit", "--N", str((1 << 63) + 1), "--a", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 126
+    N = str((1 << 62) + 1)
+    assert main(["--quiet", "synth", "--N", N, "--a", "2", "--powers", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["gates"] == 245
+    assert main(["--quiet", "run", "--N", N, "--a", "2", "--m", "3",
+                 "--out", str(tmp_path / "h.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 8
