@@ -33,6 +33,7 @@ VERSION_CONCATENATED = "concatenated"
 VERSION_PER_POWER = "per_power"
 VERSION_TRUNCATED = "truncated"
 _VERSIONS = (VERSION_CONCATENATED, VERSION_PER_POWER, VERSION_TRUNCATED)
+MAX_WIDTH = 63  # widest register: the bit planes and the basis-state arrays are int64
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -127,6 +128,12 @@ def _width(gates: Iterable[Gate]) -> int:
                     for g in gates), default=-1)
 
 
+def _check_width(n_qubits: int) -> None:
+    """A ValueError for a register whose basis states int64 cannot hold."""
+    if n_qubits > MAX_WIDTH:
+        raise ValueError(f"{n_qubits}-qubit register: basis states are int64, at most {MAX_WIDTH} qubits")
+
+
 def _planes(values: Iterable[int] | np.ndarray, n_qubits: int) -> list[int]:
     """Bit planes over value slots: bit i of ``planes[q]`` is bit q of ``values[i]``."""
     values = np.ascontiguousarray(values, dtype="<i8")
@@ -181,6 +188,7 @@ def apply_to_basis(circuit: LeveledCircuit, w: int) -> int:
 
 def apply_to_basis_array(circuit: LeveledCircuit, values: Iterable[int] | np.ndarray) -> np.ndarray:
     """apply_to_basis over basis states, as a new int64 array: ``apply_gates`` on them alone."""
+    _check_width(circuit.n_qubits)
     values = np.array(values, dtype=np.int64)
     if values.size and not (0 <= values.min() and values.max() < 1 << circuit.n_qubits):
         raise ValueError(f"basis states outside {circuit.n_qubits} qubits")

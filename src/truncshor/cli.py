@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import circuit as circuit_mod
 from . import qasm
+from .circuit import MAX_WIDTH
 from .experiments import resolution_study, study_csv, study_json, tries_until_factor
 from .modmath import FactoringInstance, NotCoprimeError, build_orbit
 from .shor import exact_distribution, histogram_chunks, histogram_outcomes, sample, work_images
@@ -30,7 +31,6 @@ from .synth import ProtectedCollisionError, check_trnc_lv, synth_all_powers, syn
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_FACTORS = 3
-MAX_WIDTH = 63  # widest work register: the bit planes and the work images are int64
 
 
 def _write_atomic(path: Path, chunks: Iterable[str]) -> None:

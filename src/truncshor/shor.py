@@ -81,13 +81,22 @@ def work_images(circuits: Sequence[LeveledCircuit], M: int) -> np.ndarray:
     return np.array(list(slot), dtype=np.int64)[idx]
 
 
-# Bytes of FFT workspace for all rows in flight (a complex128 and a float64
-# row each), the most rows one workspace transforms per call (a warm row of
-# M = 2**16 costs about the same at 1 to 16 rows per call, so more rows would
-# only take memory), and the smallest M whose transforms are spread over threads.
-_FFT_BUDGET = 64 << 20
+# Bytes all FFT workers may hold together (``_worker_bytes`` each), the rows one
+# workspace transforms per call where that budget allows (2 or 3 rows would take
+# the scratch of 4), and the smallest M whose transforms are spread over threads.
+_FFT_BUDGET = 80 << 20
 _WORKSPACE_ROWS = 4
 _POOL_MIN_M = 1 << 17
+
+
+def _fft_scratch_bytes(rows: int, M: int) -> int:
+    """numpy's FFT scratch for one call over ``rows`` rows of M: 4 rows' worth for 2 or more."""
+    return (64 if rows > 1 else 16) * M
+
+
+def _worker_bytes(size: int, M: int) -> int:
+    """One worker's complex rows, float row for |c| and FFT scratch, at ``size`` rows per call."""
+    return (16 * size + 8) * M + _fft_scratch_bytes(size, M)
 
 
 def _cpu_count() -> int:
@@ -98,19 +107,25 @@ def _cpu_count() -> int:
 
 
 def _indicator_power(
-    c: np.ndarray, p: np.ndarray, order: np.ndarray, bounds: np.ndarray, start: int, stop: int
+    space: np.ndarray, order: np.ndarray, bounds: np.ndarray, start: int, stop: int
 ) -> np.ndarray:
-    """|DFT|^2 of indicator rows start..stop-1 into p, with c as the transform's workspace.
+    """|DFT|^2 of indicator rows start..stop-1, as a view into the float workspace ``space``.
 
     Row u is 1 at the control values order[bounds[u]:bounds[u + 1]], 0 elsewhere.
+    The rows are transformed in place as complex rows at the start of ``space``;
+    each row's |c| goes through the float row at its end, and its square over the
+    first half of that row's own memory.
     """
-    c, p = c[: stop - start], p[: stop - start]
+    M = len(order)
+    c = space[: 2 * (stop - start) * M].view(complex).reshape(-1, M)
     c[:] = 0
     for row, u in zip(c, range(start, stop)):
         row[order[bounds[u] : bounds[u + 1]]] = 1
     np.fft.fft(c, axis=1, out=c)
-    np.abs(c, out=p)
-    return np.square(p, out=p)
+    power = c.view(float)[:, :M]
+    for row, out in zip(c, power):
+        np.square(np.abs(row, out=space[-M:]), out=out)
+    return power
 
 
 def _power_blocks(order: np.ndarray, bounds: np.ndarray, M: int, workers: int, size: int):
@@ -121,15 +136,16 @@ def _power_blocks(order: np.ndarray, bounds: np.ndarray, M: int, workers: int, s
     and a workspace is refilled only after the caller has consumed its block.
     """
     distinct = len(bounds) - 1
-    spaces = [(np.empty((size, M), complex), np.empty((size, M))) for _ in range(workers)]
-    # numpy's FFT allocates a block-sized scratch on every call. Until a chunk that
+    # One allocation per worker: ``size`` complex rows, then one float row.
+    spaces = [np.empty((2 * size + 1) * M) for _ in range(workers)]
+    # numpy's FFT allocates its scratch afresh on every call. Until a chunk that
     # large has been freed, glibc maps each one afresh and unmaps it on free, so
-    # every call faults its scratch in again. Dropping one such chunk before the
-    # first transform raises glibc's mmap and trim thresholds, and the scratch
-    # stays mapped between calls.
-    np.empty((size, M), complex)
+    # every call faults its scratch in again. Dropping one chunk of the scratch's
+    # size before the first transform raises glibc's mmap and trim thresholds
+    # (up to their 32 MiB cap), and the scratch stays mapped between calls.
+    np.empty(_fft_scratch_bytes(size, M), np.uint8)
     jobs = [
-        (*spaces[i % workers], order, bounds, start, min(start + size, distinct))
+        (spaces[i % workers], order, bounds, start, min(start + size, distinct))
         for i, start in enumerate(range(0, distinct, size))
     ]
     if workers == 1:
@@ -151,13 +167,14 @@ def exact_distribution(instance: FactoringInstance, images: np.ndarray) -> Phase
     """Exact control-register distribution via grouped DFT over ``work_images(circuits, M)``.
 
     The images may be the prefix of a wider register's. The indicator rows of
-    the distinct images are transformed in blocks, in reused workspaces of at
-    most 4 rows each and 8 rows in all (fewer from m = 19, where 24 * M bytes
-    per row would pass ``_FFT_BUDGET``). From M = 2**17 the blocks are shared
-    by up to 4 threads, one per usable CPU, each with its own workspace; below
-    that, one workspace of 4 rows. The calling thread adds each row's power to
-    P(l) one row at a time in image order, which fixes the last bits of P(l)
-    whatever the thread count.
+    the distinct images are transformed in blocks, in reused workspaces of 4
+    rows, or of 1 where every worker's 4-row ``_worker_bytes`` would pass
+    ``_FFT_BUDGET`` (from m = 19 on 2 CPUs): numpy's FFT takes 4 rows' scratch
+    for any call of 2 or more rows. From M = 2**17 the blocks are shared by up
+    to 4 threads, one per usable CPU and no more than the budget holds, each
+    with its own workspace. The calling thread adds each row's power to P(l)
+    one row at a time in image order, which fixes the last bits of P(l)
+    whatever the layout.
     """
     m, M = instance.m, instance.M
     if images.shape != (M,):
@@ -166,9 +183,10 @@ def exact_distribution(instance: FactoringInstance, images: np.ndarray) -> Phase
     # Distinct image u (ascending) is the image of order[bounds[u]:bounds[u + 1]].
     bounds = np.append(np.flatnonzero(np.diff(images[order], prepend=-1)), M)
     distinct = len(bounds) - 1
-    rows = min(8, max(1, _FFT_BUDGET // (24 * M)))
-    workers = min(_cpu_count(), 4, rows) if M >= _POOL_MIN_M else 1
-    size = min(_WORKSPACE_ROWS, rows // workers, distinct)
+    workers = min(_cpu_count(), 4) if M >= _POOL_MIN_M else 1
+    size = _WORKSPACE_ROWS if workers * _worker_bytes(_WORKSPACE_ROWS, M) <= _FFT_BUDGET else 1
+    workers = max(1, min(workers, _FFT_BUDGET // _worker_bytes(size, M)))
+    size = min(size, distinct)
     workers = min(workers, math.ceil(distinct / size))
     probs = np.zeros(M)
     for block in _power_blocks(order, bounds, M, workers, size):

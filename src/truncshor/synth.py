@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
-from .circuit import VERSION_TRUNCATED, Control, Gate, LeveledCircuit, _planes
+from .circuit import VERSION_TRUNCATED, Control, Gate, LeveledCircuit, _check_width, _planes
 from .modmath import CycleDecomposition, Orbit, cycle_decomposition
 
 
@@ -259,6 +259,7 @@ def truncate(circuits: Sequence[LeveledCircuit], trnc_lv: int) -> list[LeveledCi
 def synth_me_operator(orbit: Orbit, p: int) -> LeveledCircuit:
     """Synthesize U**p on the orbit, one level per transition; slot i follows orbit.states[i]."""
     n = orbit.instance.n
+    _check_width(n)
     position = {s: i for i, s in enumerate(orbit.states)}
     state = _Trajectories(orbit.states, (), n)
     levels: list[tuple[Gate, ...]] = []

@@ -176,8 +176,27 @@ def fast_switching():
         sys.setswitchinterval(interval)
 
 
+@pytest.fixture
+def fft_rows(monkeypatch):
+    """Rows of every ``np.fft.fft`` call made while the test runs."""
+    calls = []
+    fft = np.fft.fft
+
+    def counting_fft(a, *args, **kwargs):
+        calls.append(len(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    return calls
+
+
 def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+# What one worker holds per outcome at 1 and at 4 rows per call: 16 B per complex
+# row, an 8 B float row, and numpy's FFT scratch (16 B for 1 row, 64 B for more).
+WORKER_BYTES = {1: 40, 4: 136}
 
 
 @pytest.mark.parametrize("N, a, m, trnc_lv", [
@@ -185,23 +204,28 @@ def use_cpus(monkeypatch, cpus):
     (143, 5, 14, 18),
 ])
 def test_exact_distribution_matches_dense_indicators_bitwise(
-    monkeypatch, pools, fast_switching, N, a, m, trnc_lv
+    monkeypatch, pools, fast_switching, fft_rows, N, a, m, trnc_lv
 ):
-    """Every worker count (1..4) and number of rows in flight (1..8) gives the oracle's bits."""
+    """Every worker count (1..4), at 1 and at 4 rows per call, gives the oracle's bits."""
     inst = FactoringInstance(N=N, a=a, m=m)
     circuits = truncate(synth_all_powers(build_orbit(inst), m), trnc_lv)
     expected = dense_indicator_distribution(circuits, m)
     images = work_images(circuits, inst.M)
     distinct = len(np.unique(images))
     monkeypatch.setattr(truncshor.shor, "_POOL_MIN_M", 1)
-    for cpus, rows in itertools.product(range(1, 5), range(1, 9)):
+    for cpus in range(1, 5):
         use_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(truncshor.shor, "_FFT_BUDGET", rows * 24 * inst.M)
-        pools.clear()
-        assert np.array_equal(exact_distribution(inst, images).probabilities, expected)
-        workers = min(cpus, rows)
-        assert len(pools) == (workers > 1 and distinct > rows // workers)
-        assert all(w <= workers for w in pools)
+        # 4 rows only when all cpus workers fit at 4 rows; otherwise 1 row per worker
+        four = cpus * WORKER_BYTES[4] * inst.M
+        one = [(w * WORKER_BYTES[1] * inst.M, w, 1) for w in range(1, cpus + 1)]
+        for budget, workers, size in [(four, cpus, 4), (four - 1, cpus, 1), *one]:
+            monkeypatch.setattr(truncshor.shor, "_FFT_BUDGET", budget)
+            pools.clear()
+            fft_rows.clear()
+            assert np.array_equal(exact_distribution(inst, images).probabilities, expected)
+            assert len(pools) == (workers > 1 and distinct > size)
+            assert all(w <= workers for w in pools)
+            assert max(fft_rows) == min(size, distinct)
 
 
 def test_exact_distribution_one_row_in_flight_uses_no_pool(monkeypatch, pools):
@@ -214,9 +238,20 @@ def test_exact_distribution_one_row_in_flight_uses_no_pool(monkeypatch, pools):
     assert np.array_equal(exact_distribution(inst, images).probabilities, expected)
     assert pools == [4]
     pools.clear()
-    monkeypatch.setattr(truncshor.shor, "_FFT_BUDGET", 24 * inst.M - 1)
+    monkeypatch.setattr(truncshor.shor, "_FFT_BUDGET", WORKER_BYTES[1] * inst.M - 1)
     assert np.array_equal(exact_distribution(inst, images).probabilities, expected)
     assert pools == []
+
+
+@pytest.mark.parametrize("m, rows", [(17, 4), (19, 1)])
+def test_exact_distribution_calls_fft_on_4_rows_or_1(monkeypatch, fft_rows, m, rows):
+    # numpy's FFT takes 4 rows' scratch for any call of 2 or more rows and is fastest at 4;
+    # two workers' 4-row workspaces fit the budget at m = 17, not at m = 19
+    use_cpus(monkeypatch, 2)
+    inst = FactoringInstance(N=4087, a=3, m=m)
+    dist = exact_distribution(inst, np.arange(inst.M) % 12)
+    assert fft_rows == [rows] * (12 // rows)
+    assert dist.probabilities.sum() == pytest.approx(1.0)
 
 
 def test_exact_distribution_below_pool_size_starts_no_thread(monkeypatch):
@@ -254,6 +289,32 @@ exact_distribution(inst, images)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
     assert int(run_fresh(probe)) < 15_000
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="VmHWM is read from /proc; the bound assumes glibc's malloc",
+)
+def test_one_row_exact_distribution_peak_memory():
+    # m = 19 on two workers at 1 row: 2 x 20 MiB of workspace, float row and FFT scratch,
+    # plus the argsort, P(l) and the FFT plan. 2-row calls took 4-row scratch: a 134 MiB rise.
+    probe = """
+import numpy as np
+import truncshor.shor
+from truncshor import FactoringInstance, exact_distribution
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+
+truncshor.shor._cpu_count = lambda: 2
+inst = FactoringInstance(N=4087, a=3, m=19)
+images = np.arange(inst.M) % 12
+before = peak()
+exact_distribution(inst, images)
+print(peak() - before)
+"""
+    assert float(run_fresh(probe)) < 90
 
 
 def test_analytic_amplitude_examples():

@@ -5,9 +5,13 @@ import pytest
 
 from truncshor import (
     Control,
+    FactoringInstance,
     Gate,
+    LeveledCircuit,
     ProtectedCollisionError,
     apply_to_basis,
+    apply_to_basis_array,
+    build_orbit,
     cycle_decomposition,
     minimize_controls,
     synth_all_powers,
@@ -15,6 +19,7 @@ from truncshor import (
     synth_me_operator,
     transition_order,
     truncate,
+    work_images,
 )
 
 from truncshor.synth import _flip_path
@@ -234,6 +239,19 @@ def test_identity_power_is_blank(orbits):
     assert circuit.gate_count() == 0
     assert circuit.num_levels == 6
     assert all(apply_to_basis(circuit, w) == w for w in range(32))
+
+
+def test_register_wider_than_int64_is_a_value_error():
+    orbit = build_orbit(FactoringInstance(N=2**63 + 1, a=2, m=1))
+    with pytest.raises(ValueError, match="64-qubit register: basis states are int64, at most 63 qubits"):
+        synth_me_operator(orbit, 1)
+    wide = LeveledCircuit(n_qubits=64, power=1, levels=((),))
+    with pytest.raises(ValueError, match="64-qubit register"):
+        apply_to_basis_array(wide, [1])
+    with pytest.raises(ValueError, match="64-qubit register"):
+        work_images([wide], 2)
+    narrow = LeveledCircuit(n_qubits=63, power=1, levels=((),))
+    assert apply_to_basis_array(narrow, [(1 << 63) - 1]).tolist() == [(1 << 63) - 1]
 
 
 @pytest.mark.parametrize("N", sorted(CASES))
