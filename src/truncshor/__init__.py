@@ -23,7 +23,6 @@ from .circuit import (
     to_json_dict,
 )
 from .experiments import (
-    ResolutionCell,
     TriesResult,
     TryOutcome,
     derive_seed,
@@ -38,7 +37,6 @@ from .experiments import (
 from .modmath import (
     ConvergentReport,
     ConvergentVerdict,
-    CycleDecomposition,
     FactoringInstance,
     NotCoprimeError,
     Orbit,

@@ -132,7 +132,7 @@ def _report_common_factor(args: argparse.Namespace, e: NotCoprimeError, **extra)
 
 def cmd_orbit(args: argparse.Namespace) -> int:
     try:
-        instance = FactoringInstance(N=args.N, a=args.a, m=1)
+        instance = _within_width(FactoringInstance(N=args.N, a=args.a, m=1))
     except NotCoprimeError as e:
         return _report_common_factor(args, e)
     orbit = build_orbit(instance)
@@ -254,7 +254,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         max_tries=args.max_tries,
     )
-    results = [cells[(m, t)].result for m in m_values for t in trnc_levels]
+    results = [cells[(m, t)] for m in m_values for t in trnc_levels]
     _write_atomic(out_path, [study_csv(results)])
     _write_atomic(json_path, [study_json(results) + "\n"])
     for res in results:

@@ -229,7 +229,7 @@ def truncation_sweep(
     i at level t uses seed derive_seed(base_seed, t, i).
     """
     cells = resolution_study(instance, [instance.m], trnc_range, num_it, base_seed, max_tries)
-    return [cell.result for cell in cells.values()]
+    return list(cells.values())
 
 
 def peak_presence(
@@ -252,14 +252,6 @@ def peak_presence(
     return out
 
 
-@dataclass(frozen=True)
-class ResolutionCell:
-    """One (m, trnc_lv) cell of a resolution study."""
-
-    result: TriesResult
-    peaks: dict[int, bool]
-
-
 def resolution_study(
     instance: FactoringInstance,
     m_values: Iterable[int],
@@ -267,8 +259,8 @@ def resolution_study(
     num_it: int,
     base_seed: int,
     max_tries: int = 500,
-) -> dict[tuple[int, int], ResolutionCell]:
-    """Truncation sweep at several control widths, with peak-presence tables.
+) -> dict[tuple[int, int], TriesResult]:
+    """Truncation sweep at several control widths: the tries result of each (m, trnc_lv).
 
     The powers are synthesized once, at the largest m: the circuit for
     2**q does not depend on m, and truncation only empties trailing levels.
@@ -289,22 +281,19 @@ def resolution_study(
         trnc_levels.append(t)
     full = synth_all_powers(orbit, max((inst.m for inst in instances), default=0))
     truncated = {t: truncate(full, t) for t in trnc_levels}
-    out: dict[tuple[int, int], ResolutionCell] = {}
+    out: dict[tuple[int, int], TriesResult] = {}
     for trnc_lv in trnc_levels:
         images = work_images(truncated[trnc_lv], 1 << len(full))
         dists = [exact_distribution(inst_m, images[: inst_m.M]) for inst_m in instances]
         seeds = [derive_seed(base_seed, trnc_lv, it) for it in range(num_it)]
         ensemble = tries_ensemble(list(zip(instances, dists)), seeds, max_tries)
-        for inst_m, dist, outcomes in zip(instances, dists, ensemble):
-            result = TriesResult(
+        for inst_m, outcomes in zip(instances, ensemble):
+            out[(inst_m.m, trnc_lv)] = TriesResult(
                 instance=inst_m,
                 trnc_lv=trnc_lv,
                 num_it=num_it,
                 tries=tuple(o.tries for o in outcomes),
                 capped=tuple(o.capped for o in outcomes),
-            )
-            out[(inst_m.m, trnc_lv)] = ResolutionCell(
-                result=result, peaks=peak_presence(inst_m, orbit, dist)
             )
     return {(inst.m, t): out[(inst.m, t)] for inst in instances for t in trnc_levels}
 

@@ -150,16 +150,8 @@ def build_orbit(instance: FactoringInstance) -> Orbit:
     return Orbit(instance=instance, states=tuple(states))
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Cycles of the map f(k) -> f(k + p mod r) on the orbit states."""
-
-    power: int
-    cycles: tuple[tuple[int, ...], ...]
-
-
-def cycle_decomposition(orbit: Orbit, p: int) -> CycleDecomposition:
-    """Partition the orbit under stepping by p.
+def cycle_decomposition(orbit: Orbit, p: int) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the map f(k) -> f(k + p mod r) on the orbit states.
 
     The cycles are the cosets of s = p mod r in Z_r, g = gcd(s, r) of them:
     cycle c, for c = 0 .. g-1, is f(c), f(c + s), f(c + 2s), ... (r/g states,
@@ -172,8 +164,7 @@ def cycle_decomposition(orbit: Orbit, p: int) -> CycleDecomposition:
     states, r = orbit.states, orbit.r
     step = p % r
     g = gcd(step, r)
-    cycles = tuple(tuple(states[(c + j * step) % r] for j in range(r // g)) for c in range(g))
-    return CycleDecomposition(power=p, cycles=cycles)
+    return tuple(tuple(states[(c + j * step) % r] for j in range(r // g)) for c in range(g))
 
 
 def continued_fraction(l: int, M: int) -> list[int]:
@@ -216,7 +207,6 @@ def convergents(cf: Sequence[int]) -> list[tuple[int, int]]:
 class PeriodCheck:
     """Outcome of testing one candidate period."""
 
-    r: int
     accepted: bool
     reason: Optional[str] = None  # "odd" | "not-period" | "trivial-sqrt"
 
@@ -227,12 +217,12 @@ def check_period(instance: FactoringInstance, r: int) -> PeriodCheck:
         raise ValueError(f"candidate period must be >= 1, got {r}")
     N, a = instance.N, instance.a
     if r % 2 == 1:
-        return PeriodCheck(r=r, accepted=False, reason="odd")
+        return PeriodCheck(accepted=False, reason="odd")
     if mod_pow(a, r, N) != 1:
-        return PeriodCheck(r=r, accepted=False, reason="not-period")
+        return PeriodCheck(accepted=False, reason="not-period")
     if mod_pow(a, r // 2, N) == N - 1:
-        return PeriodCheck(r=r, accepted=False, reason="trivial-sqrt")
-    return PeriodCheck(r=r, accepted=True)
+        return PeriodCheck(accepted=False, reason="trivial-sqrt")
+    return PeriodCheck(accepted=True)
 
 
 def extract_factors(instance: FactoringInstance, r: int) -> tuple[int, int]:

@@ -140,10 +140,11 @@ def _power_blocks(order: np.ndarray, bounds: np.ndarray, M: int, workers: int, s
     spaces = [np.empty((2 * size + 1) * M) for _ in range(workers)]
     # numpy's FFT allocates its scratch afresh on every call. Until a chunk that
     # large has been freed, glibc maps each one afresh and unmaps it on free, so
-    # every call faults its scratch in again. Dropping one chunk of the scratch's
-    # size before the first transform raises glibc's mmap and trim thresholds
-    # (up to their 32 MiB cap), and the scratch stays mapped between calls.
-    np.empty(_fft_scratch_bytes(size, M), np.uint8)
+    # every call faults its scratch in again. Dropping one untouched chunk a float
+    # row larger than the scratch (numpy asks for a little more than
+    # ``_fft_scratch_bytes``) before the first transform raises glibc's mmap and
+    # trim thresholds (up to their 32 MiB cap), and the scratch stays mapped.
+    np.empty(_fft_scratch_bytes(size, M) + 8 * M, np.uint8)
     jobs = [
         (spaces[i % workers], order, bounds, start, min(start + size, distinct))
         for i, start in enumerate(range(0, distinct, size))

@@ -33,7 +33,7 @@ from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
 from .circuit import VERSION_TRUNCATED, Control, Gate, LeveledCircuit, _check_width, _planes
-from .modmath import CycleDecomposition, Orbit, cycle_decomposition
+from .modmath import Orbit, cycle_decomposition
 
 
 class ProtectedCollisionError(RuntimeError):
@@ -225,10 +225,10 @@ def synth_level(
     return _Trajectories(avoid, protected, n_qubits).level(current, target)
 
 
-def transition_order(decomp: CycleDecomposition) -> list[tuple[int, int]]:
+def transition_order(cycles: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """Level assignment: cycles concatenated in head order, one transition each."""
     out: list[tuple[int, int]] = []
-    for cycle in decomp.cycles:
+    for cycle in cycles:
         L = len(cycle)
         for i in range(L):
             out.append((cycle[i], cycle[(i + 1) % L]))

@@ -35,7 +35,6 @@ from truncshor.circuit import (
 )
 from truncshor.experiments import TryOutcome
 from truncshor.modmath import (
-    CycleDecomposition,
     FactoringInstance,
     Orbit,
     check_period,
@@ -83,7 +82,7 @@ def apply_to_statevector(circuit: LeveledCircuit, state: np.ndarray) -> np.ndarr
     return out
 
 
-def cycle_decomposition_scan(orbit: Orbit, p: int) -> CycleDecomposition:
+def cycle_decomposition_scan(orbit: Orbit, p: int) -> tuple[tuple[int, ...], ...]:
     """Partition the orbit under stepping by p.
 
     Cycle order: candidates f(0), f(1), ... are scanned in orbit order and
@@ -97,7 +96,7 @@ def cycle_decomposition_scan(orbit: Orbit, p: int) -> CycleDecomposition:
     r = orbit.r
     step = p % r
     if step == 0:
-        return CycleDecomposition(power=p, cycles=tuple((s,) for s in states))
+        return tuple((s,) for s in states)
     index = {s: i for i, s in enumerate(states)}
     covered: set[int] = set()
     cycles: list[tuple[int, ...]] = []
@@ -111,7 +110,7 @@ def cycle_decomposition_scan(orbit: Orbit, p: int) -> CycleDecomposition:
             k = (k + step) % r
         cycles.append(tuple(cycle))
         covered.update(cycle)
-    return CycleDecomposition(power=p, cycles=tuple(cycles))
+    return tuple(cycles)
 
 
 def concatenate_power(u: LeveledCircuit, p: int) -> LeveledCircuit:

@@ -94,6 +94,29 @@ def test_one_distribution_type():
     assert not hasattr(truncshor.shor, "EigenphaseSet")
 
 
+@pytest.mark.parametrize("name", ["ResolutionCell", "CycleDecomposition"])
+def test_results_are_not_wrapped(name):
+    # resolution_study returns its tries results and cycle_decomposition its cycles
+    assert not hasattr(truncshor, name)
+    assert not hasattr(truncshor.experiments, name)
+    assert not hasattr(truncshor.modmath, name)
+
+
+def test_period_check_does_not_echo_its_argument():
+    assert [f.name for f in dataclasses.fields(truncshor.PeriodCheck)] == ["accepted", "reason"]
+
+
+def test_resolution_study_builds_no_peak_tables(monkeypatch):
+    def no_peaks(*args):
+        raise AssertionError("resolution_study called peak_presence")
+
+    monkeypatch.setattr(truncshor.experiments, "peak_presence", no_peaks)
+    cells = truncshor.resolution_study(
+        truncshor.FactoringInstance(N=21, a=2, m=5), [4, 5], [0], num_it=2, base_seed=1
+    )
+    assert set(cells) == {(4, 0), (5, 0)}
+
+
 # Each pipeline stage takes the previous stage's output and nothing that would redo it.
 STAGES = {
     "synth_me_operator": ["orbit", "p"],

@@ -85,6 +85,7 @@ def _no_orbit(*args):
     ("run", ["--m", "3"]),
     ("factor", ["--m", "3", "--seed", "1"]),
     ("study", ["--m", "3", "--trnc", "0", "--seed", "1", "--out", "s.csv"]),
+    ("orbit", []),
 ])
 def test_a_modulus_wider_than_63_bits_exits_before_the_orbit(
     tmp_path, capsys, monkeypatch, command, extra
@@ -104,12 +105,17 @@ def test_factor_reports_a_common_factor_of_a_wide_modulus_first(capsys, monkeypa
     N = (1 << 63) + 1  # divisible by 3
     assert main(["factor", "--N", str(N), "--a", "3", "--m", "3", "--seed", "1"]) == 0
     assert capsys.readouterr().out == f"gcd(3, {N}) = 3: factors 3 x {N // 3}\n"
+    assert main(["orbit", "--N", str(N), "--a", "3"]) == 0
+    assert capsys.readouterr().out == f"gcd(3, {N}) = 3: factors 3 x {N // 3}\n"
 
 
-def test_orbit_takes_any_width_and_63_bits_still_synthesize(tmp_path, capsys):
-    assert main(["--quiet", "orbit", "--N", str((1 << 63) + 1), "--a", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["r"] == 126
+def test_63_bits_bound_orbit_too_and_62_bits_still_synthesize(tmp_path, capsys):
+    N = (1 << 63) + 1
+    assert main(["--quiet", "orbit", "--N", str(N), "--a", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: --N must be < 2^63, got {N}\n")
     N = str((1 << 62) + 1)
+    assert main(["--quiet", "orbit", "--N", N, "--a", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 124
     assert main(["--quiet", "synth", "--N", N, "--a", "2", "--powers", "1",
                  "--out", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["gates"] == 245

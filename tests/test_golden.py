@@ -141,7 +141,7 @@ def test_resolution_study_bytes():
     cells = resolution_study(
         FactoringInstance(N=143, a=5, m=10), [8, 10], [0, 10, 19], num_it=20, base_seed=1905
     )
-    results = [cells[(m, t)].result for m in (8, 10) for t in (0, 10, 19)]
+    results = [cells[(m, t)] for m in (8, 10) for t in (0, 10, 19)]
     assert (sha256(study_csv(results)), sha256(study_json(results))) == STUDY_143_DIGESTS
 
 

@@ -117,21 +117,21 @@ def test_orbit_invariants(orbits):
 
 
 def test_cycle_decomposition_examples(orbits):
-    assert [list(c) for c in cycle_decomposition(orbits[21], 2).cycles] == [
+    assert [list(c) for c in cycle_decomposition(orbits[21], 2)] == [
         [1, 4, 16],
         [2, 8, 11],
     ]
-    assert [list(c) for c in cycle_decomposition(orbits[21], 1).cycles] == [
+    assert [list(c) for c in cycle_decomposition(orbits[21], 1)] == [
         [1, 2, 4, 8, 16, 11]
     ]
-    heads = [c[0] for c in cycle_decomposition(orbits[143], 4).cycles]
+    heads = [c[0] for c in cycle_decomposition(orbits[143], 4)]
     assert heads == [1, 5, 25, 125]
 
 
 def test_cycle_decomposition_identity_power(orbits):
-    decomp = cycle_decomposition(orbits[21], 6)
-    assert decomp.cycles == tuple((s,) for s in orbits[21].states)
-    assert cycle_decomposition(orbits[21], 12).cycles == decomp.cycles
+    cycles = cycle_decomposition(orbits[21], 6)
+    assert cycles == tuple((s,) for s in orbits[21].states)
+    assert cycle_decomposition(orbits[21], 12) == cycles
 
 
 @pytest.mark.parametrize("N", range(15, 64, 2))
@@ -151,19 +151,19 @@ def test_cycle_decomposition_properties(orbits, N, q):
     orbit = orbits[N]
     p = 1 << q
     r = orbit.r
-    decomp = cycle_decomposition(orbit, p)
-    flat = [s for c in decomp.cycles for s in c]
+    cycles = cycle_decomposition(orbit, p)
+    flat = [s for c in cycles for s in c]
     assert sorted(flat) == sorted(orbit.states)
     step = p % r
     if step == 0:
-        assert len(decomp.cycles) == r
+        assert len(cycles) == r
     else:
         g = gcd(step, r)
-        assert len(decomp.cycles) == g
-        assert all(len(c) == r // g for c in decomp.cycles)
+        assert len(cycles) == g
+        assert all(len(c) == r // g for c in cycles)
     # following the step map reproduces each cycle as a rotation
     index = {s: i for i, s in enumerate(orbit.states)}
-    for cycle in decomp.cycles:
+    for cycle in cycles:
         for i, s in enumerate(cycle):
             succ = orbit.states[(index[s] + p) % r]
             assert cycle[(i + 1) % len(cycle)] == succ

@@ -293,6 +293,29 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the scratch faults come from glibc's mmap threshold",
+)
+def test_one_row_exact_distribution_keeps_fft_scratch_mapped():
+    # One 1-row worker on the calling thread, 24 rows at m = 17. numpy asks for a little
+    # more than 16 M bytes of scratch per call; mapped afresh each time, that is ~26,000 faults.
+    probe = """
+import resource
+import numpy as np
+import truncshor.shor
+from truncshor import FactoringInstance, exact_distribution
+inst = FactoringInstance(N=247, a=2, m=17)
+truncshor.shor._cpu_count = lambda: 1
+truncshor.shor._FFT_BUDGET = 40 * inst.M
+images = np.arange(inst.M) % 24
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+exact_distribution(inst, images)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    assert int(run_fresh(probe)) < 10_000
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="VmHWM is read from /proc; the bound assumes glibc's malloc",
 )
 def test_one_row_exact_distribution_peak_memory():
