@@ -32,6 +32,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_FACTORS = 3
 
+# A study's peak RSS grows by about 1,180 bytes per iteration (its seed's generator) and 182
+# per iteration and cell, a width and a level below r < N (its tries and their JSON text).
+_STUDY_BYTES_PER_IT, _STUDY_BYTES_PER_CELL_IT = 1_200, 190
+STUDY_BUDGET = 1 << 30  # bytes
+
 
 def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     """Write chunks to a unique temp file beside path, give it a plain create's mode, rename it.
@@ -189,7 +194,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     circuits = truncate(synth_all_powers(orbit, args.m), args.trnc_lv)
     dist = exact_distribution(instance, work_images(circuits, instance.M))
     counts = sample(dist, args.shots, args.seed) if args.shots else None
-    chunks = histogram_chunks(instance, dist, counts)
+    chunks = histogram_chunks(orbit, dist, counts)
     if args.out:
         _write_atomic(Path(args.out), chunks)
         rows = len(histogram_outcomes(dist, counts))
@@ -211,7 +216,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
     check_trnc_lv(args.trnc_lv, orbit.r)
     circuits = truncate(synth_all_powers(orbit, args.m), args.trnc_lv)
     dist = exact_distribution(instance, work_images(circuits, instance.M))
-    outcome = tries_until_factor(instance, dist, seed=args.seed, max_tries=args.max_tries)
+    outcome = tries_until_factor(orbit, dist, seed=args.seed, max_tries=args.max_tries)
     if outcome.capped:
         _emit(
             args,
@@ -245,6 +250,9 @@ def cmd_study(args: argparse.Namespace) -> int:
     instance = _within_width(FactoringInstance(N=args.N, a=args.a, m=max(m_values)))
     trnc_levels = _parse_range(args.trnc, "--trnc")
     _at_least("--num-it", args.num_it, 1)
+    num_cells = len(m_values) * len(range(max(trnc_levels.start, 0), min(trnc_levels.stop, args.N)))
+    if (need := args.num_it * (_STUDY_BYTES_PER_IT + _STUDY_BYTES_PER_CELL_IT * num_cells)) > STUDY_BUDGET:
+        raise ValueError(f"--num-it {args.num_it} needs {need:,} bytes; the study budget is {STUDY_BUDGET:,}")
     _at_least("--max-tries", args.max_tries, 1)
     cells = resolution_study(
         instance,
@@ -254,11 +262,10 @@ def cmd_study(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         max_tries=args.max_tries,
     )
-    results = [cells[(m, t)] for m in m_values for t in trnc_levels]
+    results = list(cells.values())
     _write_atomic(out_path, [study_csv(results)])
     _write_atomic(json_path, [study_json(results) + "\n"])
-    for res in results:
-        m, t = res.instance.m, res.trnc_lv
+    for (m, t), res in cells.items():
         _emit(
             args,
             {

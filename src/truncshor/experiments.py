@@ -1,7 +1,7 @@
 """Truncation sweeps and tries-until-factor ensembles.
 
 A "try" is one sampled measurement l of the control register; it succeeds
-when continued fractions on l yield factors (``instance.factor_mask[l]``),
+when continued fractions on l yield factors (``orbit.factor_mask[l]``),
 and barren draws (l = 0 and friends) count as failed tries. All randomness
 flows from explicit seeds through a fixed avalanche mixer, so every result
 is reproducible bit for bit.
@@ -146,11 +146,11 @@ class TryOutcome:
 
 
 def tries_ensemble(
-    cells: Sequence[tuple[FactoringInstance, PhaseDistribution]],
+    cells: Sequence[tuple[Orbit, PhaseDistribution]],
     seeds: Sequence[int],
     max_tries: int = 500,
 ) -> list[list[TryOutcome]]:
-    """Tries until factor for every (instance, dist) cell and seed: ``outcomes[c][i]``.
+    """Tries until factor for every (orbit, dist) cell and seed: ``outcomes[c][i]``.
 
     Seed i makes one generator for every cell, read in chunks of 16, 32, 64, ...
     up to max_tries in all (the same doubles as one call) until each cell has won
@@ -161,29 +161,27 @@ def tries_ensemble(
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
-    for instance, dist in cells:
-        if dist.m != instance.m:
-            raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
+    for orbit, dist in cells:
+        if dist.m != orbit.instance.m:
+            raise ValueError(f"distribution over m={dist.m} bits, instance has m={orbit.instance.m}")
     outcomes = [[TryOutcome(tries=max_tries, capped=True)] * len(seeds) for _ in cells]
-    pending = np.array([[inst.factor_mask.any()] * len(seeds) for inst, _ in cells], dtype=bool)
+    pairs = [extract_factors(o.instance, o.r) if o.factor_mask.any() else None for o, _ in cells]
+    pending = np.array([[pair is not None] * len(seeds) for pair in pairs], dtype=bool)
     rngs = _generators(seeds) if pending.any() else []
-    pairs: dict[int, tuple[int, int]] = {}
     offset, size = 0, 16
     while offset < max_tries and (drawn := np.flatnonzero(pending.any(axis=0))).size:
         size = min(size, max_tries - offset)
         step = max(1, _BLOCK // size)  # seeds per block: at most _BLOCK doubles, or one chunk
         for group in (drawn[start : start + step] for start in range(0, drawn.size, step)):
             block = np.stack([rngs[i].random(size) for i in group])
-            for c, (instance, dist) in enumerate(cells):
+            for c, (orbit, dist) in enumerate(cells):
                 rows = pending[c, group]
                 draws = dist.cdf.searchsorted(block[rows], side="right")
-                hits = instance.factor_mask[draws]
+                hits = orbit.factor_mask[draws]
                 first = hits.argmax(axis=1)
                 won = hits[np.arange(first.size), first]
                 winners = group[rows][won]
                 for i, j, l in zip(winners, first[won], draws[won, first[won]]):
-                    if c not in pairs:
-                        pairs[c] = extract_factors(instance, instance.r)
                     outcomes[c][i] = TryOutcome(offset + int(j) + 1, False, int(l), pairs[c])
                 pending[c, winners] = False
         offset, size = offset + size, 2 * size
@@ -191,21 +189,24 @@ def tries_ensemble(
 
 
 def tries_until_factor(
-    instance: FactoringInstance, dist: PhaseDistribution, seed: int, max_tries: int = 500
+    orbit: Orbit, dist: PhaseDistribution, seed: int, max_tries: int = 500
 ) -> TryOutcome:
     """Draw measurements until one yields factors: ``tries_ensemble`` for one cell and seed."""
-    return tries_ensemble([(instance, dist)], [seed], max_tries)[0][0]
+    return tries_ensemble([(orbit, dist)], [seed], max_tries)[0][0]
 
 
 @dataclass(frozen=True)
 class TriesResult:
     """Ensemble of tries-until-factor counts for one truncation level."""
 
-    instance: FactoringInstance
+    orbit: Orbit
     trnc_lv: int
-    num_it: int
     tries: tuple[int, ...]
     capped: tuple[bool, ...]
+
+    @property
+    def num_it(self) -> int:
+        return len(self.tries)
 
     @property
     def mean(self) -> float:
@@ -232,9 +233,7 @@ def truncation_sweep(
     return list(cells.values())
 
 
-def peak_presence(
-    instance: FactoringInstance, orbit: Orbit, dist: PhaseDistribution
-) -> dict[int, bool]:
+def peak_presence(orbit: Orbit, dist: PhaseDistribution) -> dict[int, bool]:
     """Which factor-producing eigenphases carry above-uniform mass.
 
     For each s coprime to r, the neighborhood is the bins within +-1 of
@@ -242,13 +241,12 @@ def peak_presence(
     the neighborhood bins whose analysis actually yields factors exceeds
     twice the uniform floor 1/M.
     """
-    r = orbit.r
-    M = instance.M
+    r, M = orbit.r, orbit.instance.M
     out: dict[int, bool] = {}
     for s in (k for k in range(r) if gcd(k, r) == 1):
         center = nearest_phase_bin(s, r, M)
         bins = [(center + d) % M for d in (-1, 0, 1)]
-        out[s] = sum(float(dist.probabilities[l]) for l in bins if instance.factor_mask[l]) > 2.0 / M
+        out[s] = sum(float(dist.probabilities[l]) for l in bins if orbit.factor_mask[l]) > 2.0 / M
     return out
 
 
@@ -265,9 +263,9 @@ def resolution_study(
     The powers are synthesized once, at the largest m: the circuit for
     2**q does not depend on m, and truncation only empties trailing levels.
     Each level's work images are computed once, at the largest m, and each
-    width reads their prefix. Every width, every level, ``num_it`` and
-    ``max_tries`` are checked before anything is synthesized. Iteration i at
-    level t uses seed derive_seed(base_seed, t, i).
+    width reads their prefix; all widths share one orbit. ``num_it``, ``max_tries``
+    and every width are checked before it is built, and every level before anything
+    is synthesized. Iteration i at level t uses seed derive_seed(base_seed, t, i).
     """
     if num_it < 1:
         raise ValueError(f"num_it must be >= 1, got {num_it}")
@@ -275,23 +273,22 @@ def resolution_study(
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     instances = [replace(instance, m=m) for m in m_values]
     orbit = build_orbit(instance)
+    orbits = [Orbit(inst_m, orbit.states) for inst_m in instances]
     trnc_levels = []
     for t in trnc_range:
         check_trnc_lv(t, orbit.r)
         trnc_levels.append(t)
     full = synth_all_powers(orbit, max((inst.m for inst in instances), default=0))
-    truncated = {t: truncate(full, t) for t in trnc_levels}
     out: dict[tuple[int, int], TriesResult] = {}
     for trnc_lv in trnc_levels:
-        images = work_images(truncated[trnc_lv], 1 << len(full))
+        images = work_images(truncate(full, trnc_lv), 1 << len(full))
         dists = [exact_distribution(inst_m, images[: inst_m.M]) for inst_m in instances]
         seeds = [derive_seed(base_seed, trnc_lv, it) for it in range(num_it)]
-        ensemble = tries_ensemble(list(zip(instances, dists)), seeds, max_tries)
-        for inst_m, outcomes in zip(instances, ensemble):
-            out[(inst_m.m, trnc_lv)] = TriesResult(
-                instance=inst_m,
+        ensemble = tries_ensemble(list(zip(orbits, dists)), seeds, max_tries)
+        for orbit_m, outcomes in zip(orbits, ensemble):
+            out[(orbit_m.instance.m, trnc_lv)] = TriesResult(
+                orbit=orbit_m,
                 trnc_lv=trnc_lv,
-                num_it=num_it,
                 tries=tuple(o.tries for o in outcomes),
                 capped=tuple(o.capped for o in outcomes),
             )
@@ -302,9 +299,9 @@ _STUDY_COLUMNS = ("N", "a", "r", "n", "m", "trnc_lv", "num_it", "mean_tries", "c
 
 
 def _study_row(res: TriesResult) -> dict:
-    inst = res.instance
+    inst = res.orbit.instance
     values = (
-        inst.N, inst.a, inst.r, inst.n, inst.m,
+        inst.N, inst.a, res.orbit.r, inst.n, inst.m,
         res.trnc_lv, res.num_it, res.mean, res.capped_fraction,
     )
     return dict(zip(_STUDY_COLUMNS, values))

@@ -44,7 +44,7 @@ def mod_pow(a: int, x: int, N: int) -> int:
     return pow(a, x, N)
 
 
-# Control values per vectorized Euclid pass in ``FactoringInstance.factor_mask``.
+# Control values per vectorized Euclid pass in ``Orbit.factor_mask``.
 _EUCLID_BLOCK = 1 << 14
 
 
@@ -85,34 +85,6 @@ class FactoringInstance:
         """Number of control-register states, 2**m."""
         return 1 << self.m
 
-    @cached_property
-    def r(self) -> int:
-        """Period of a modulo N, found on first use by iterating the orbit."""
-        return build_orbit(self).r
-
-    @cached_property
-    def factor_mask(self) -> np.ndarray:
-        """Built on first use: ``factor_mask[l]`` says whether analyzing outcome l yields factors.
-
-        A convergent denominator q splits N iff the period r is even, a**(r/2) != -1
-        mod N and q is an odd multiple of r, so a vectorized Euclid pass decides each
-        block of ``_EUCLID_BLOCK`` values of l, and its temporaries are one block's.
-        """
-        r = self.r
-        mask = np.zeros(self.M, dtype=bool)
-        if check_period(self, r).accepted:
-            for start in range(1, self.M, _EUCLID_BLOCK):  # l = 0 has the single denominator 1
-                l = np.arange(start, min(start + _EUCLID_BLOCK, self.M))
-                u, v, q, q_prev = np.full_like(l, self.M), l, np.ones_like(l), np.zeros_like(l)
-                while l.size:
-                    u, v, q, q_prev = v, u % v, (u // v) * q + q_prev, q
-                    hit = q % (2 * r) == r
-                    mask[l[hit]] = True
-                    keep = ~hit & (v != 0)
-                    l, u, v, q, q_prev = l[keep], u[keep], v[keep], q[keep], q_prev[keep]
-        mask.flags.writeable = False
-        return mask
-
 
 @dataclass(frozen=True)
 class Orbit:
@@ -125,6 +97,29 @@ class Orbit:
     def r(self) -> int:
         """Period of the orbit."""
         return len(self.states)
+
+    @cached_property
+    def factor_mask(self) -> np.ndarray:
+        """Built on first use: ``factor_mask[l]`` says whether analyzing outcome l yields factors.
+
+        A convergent denominator q splits N iff the period r is even, a**(r/2) != -1
+        mod N and q is an odd multiple of r, so a vectorized Euclid pass decides each
+        block of ``_EUCLID_BLOCK`` values of l, and its temporaries are one block's.
+        """
+        r, M = self.r, self.instance.M
+        mask = np.zeros(M, dtype=bool)
+        if check_period(self.instance, r).accepted:
+            for start in range(1, M, _EUCLID_BLOCK):  # l = 0 has the single denominator 1
+                l = np.arange(start, min(start + _EUCLID_BLOCK, M))
+                u, v, q, q_prev = np.full_like(l, M), l, np.ones_like(l), np.zeros_like(l)
+                while l.size:
+                    u, v, q, q_prev = v, u % v, (u // v) * q + q_prev, q
+                    hit = q % (2 * r) == r
+                    mask[l[hit]] = True
+                    keep = ~hit & (v != 0)
+                    l, u, v, q, q_prev = l[keep], u[keep], v[keep], q[keep], q_prev[keep]
+        mask.flags.writeable = False
+        return mask
 
 
 # Longest orbit build_orbit stores. Storing all 2**20 states peaks about 56 MiB above the

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .circuit import LeveledCircuit, apply_to_basis_array
-from .modmath import FactoringInstance
+from .modmath import FactoringInstance, Orbit
 
 
 @dataclass(frozen=True)
@@ -225,16 +225,16 @@ def histogram_outcomes(dist: PhaseDistribution, counts: Optional[np.ndarray] = N
 
 
 def histogram_chunks(
-    instance: FactoringInstance, dist: PhaseDistribution, counts: Optional[np.ndarray] = None
+    orbit: Orbit, dist: PhaseDistribution, counts: Optional[np.ndarray] = None
 ) -> Iterator[str]:
     """The text of ``histogram_csv``: its header, then its rows 4096 at a time.
 
     The arguments are checked when this is called, before the first chunk. The
     Python values and row strings held at once are one chunk's, not all M rows'.
     """
-    if dist.m != instance.m:
-        raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
-    m, M = instance.m, instance.M
+    m, M = orbit.instance.m, orbit.instance.M
+    if dist.m != m:
+        raise ValueError(f"distribution over m={dist.m} bits, instance has m={m}")
     keep = histogram_outcomes(dist, counts)
     p = dist.probabilities.astype(float, copy=False)
     if counts is not None:
@@ -245,18 +245,18 @@ def histogram_chunks(
         for start in range(0, len(keep), 4096):
             ks = keep[start : start + 4096]
             cs = [0] * len(ks) if counts is None else counts[ks].tolist()
-            rows = zip(ks.tolist(), p[ks].tolist(), cs, instance.factor_mask[ks].tolist())
+            rows = zip(ks.tolist(), p[ks].tolist(), cs, orbit.factor_mask[ks].tolist())
             yield "".join(f"{l},0.{l:0{m}b},{l / M!r},{q!r},{c},{int(f)}\n" for l, q, c, f in rows)
 
     return chunks()
 
 
 def histogram_csv(
-    instance: FactoringInstance, dist: PhaseDistribution, counts: Optional[np.ndarray] = None
+    orbit: Orbit, dist: PhaseDistribution, counts: Optional[np.ndarray] = None
 ) -> str:
     """CSV with one row per outcome whose probability exceeds 1e-15 or whose count is nonzero.
 
     Columns: ell, phase_binary, phase_decimal, probability, counts (``counts``,
-    e.g. from ``sample``; zeros when None), produces_factors (``instance.factor_mask``).
+    e.g. from ``sample``; zeros when None), produces_factors (``orbit.factor_mask``).
     """
-    return "".join(histogram_chunks(instance, dist, counts))
+    return "".join(histogram_chunks(orbit, dist, counts))

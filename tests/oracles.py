@@ -251,9 +251,9 @@ def run_shor_dense(
     return PhaseDistribution(m=m, probabilities=probs)
 
 
-def factor_mask_oracle(instance: FactoringInstance) -> np.ndarray:
-    """``FactoringInstance.factor_mask`` as one vectorized Euclid pass over all of l."""
-    r = instance.r
+def factor_mask_oracle(orbit: Orbit) -> np.ndarray:
+    """``Orbit.factor_mask`` as one vectorized Euclid pass over all of l."""
+    instance, r = orbit.instance, orbit.r
     mask = np.zeros(instance.M, dtype=bool)
     if check_period(instance, r).accepted:
         l = np.arange(1, instance.M)  # l = 0 has the single denominator 1
@@ -268,11 +268,12 @@ def factor_mask_oracle(instance: FactoringInstance) -> np.ndarray:
 
 
 def histogram_csv_loop(
-    instance: FactoringInstance,
+    orbit: Orbit,
     dist: PhaseDistribution,
     counts: Optional[np.ndarray] = None,
 ) -> str:
     """``histogram_csv`` one outcome at a time through ``csv.writer``."""
+    instance = orbit.instance
     M = instance.M
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -291,14 +292,14 @@ def histogram_csv_loop(
                 repr(l / M),
                 repr(p),
                 c,
-                int(instance.factor_mask[l]),
+                int(orbit.factor_mask[l]),
             ]
         )
     return buf.getvalue()
 
 
 def tries_until_factor_oracle(
-    instance: FactoringInstance, dist: PhaseDistribution, seed: int, max_tries: int = 500
+    orbit: Orbit, dist: PhaseDistribution, seed: int, max_tries: int = 500
 ) -> TryOutcome:
     """Draw measurements until one yields factors; report the 1-based count.
 
@@ -312,9 +313,10 @@ def tries_until_factor_oracle(
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
+    instance = orbit.instance
     if dist.m != instance.m:
         raise ValueError(f"distribution over m={dist.m} bits, instance has m={instance.m}")
-    mask = instance.factor_mask
+    mask = orbit.factor_mask
     if not mask.any():
         return TryOutcome(tries=max_tries, capped=True)
     rng = np.random.default_rng(seed)
@@ -329,7 +331,7 @@ def tries_until_factor_oracle(
                 tries=offset + i + 1,
                 capped=False,
                 l=int(draws[i]),
-                factors=extract_factors(instance, instance.r),
+                factors=extract_factors(instance, orbit.r),
             )
         offset, size = offset + size, 2 * size
     return TryOutcome(tries=max_tries, capped=True)

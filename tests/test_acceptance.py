@@ -11,6 +11,7 @@ import numpy as np
 
 from truncshor import (
     FactoringInstance,
+    Orbit,
     analyze_measurement,
     apply_to_basis,
     build_orbit,
@@ -183,9 +184,9 @@ def test_c08_resolution_peaks(instances, orbits):
     }
     for (N, m), expected in expectations.items():
         inst = FactoringInstance(N=N, a=instances[N].a, m=m)
-        orbit = orbits[N]
+        orbit = Orbit(inst, orbits[N].states)
         dist = exact_distribution(inst, work_images(synth_all_powers(orbit, m), inst.M))
-        peaks = peak_presence(inst, orbit, dist)
+        peaks = peak_presence(orbit, dist)
         present = {s for s, ok in peaks.items() if ok}
         assert present == expected, (N, m, present)
     _ok("criterion 8: peak tables (143: 6 vs 8 peaks; 247: 4 vs 12 peaks)")

@@ -106,6 +106,28 @@ def test_period_check_does_not_echo_its_argument():
     assert [f.name for f in dataclasses.fields(truncshor.PeriodCheck)] == ["accepted", "reason"]
 
 
+def test_tries_result_does_not_echo_its_length():
+    # num_it is len(tries), and r comes from the orbit
+    fields = [f.name for f in dataclasses.fields(truncshor.TriesResult)]
+    assert fields == ["orbit", "trnc_lv", "tries", "capped"]
+
+
+def test_the_period_lives_on_the_orbit():
+    # a FactoringInstance is the checked input (N, a, m); r and the factor mask come from its orbit
+    inst = truncshor.FactoringInstance(N=21, a=2, m=5)
+    for name in ("r", "factor_mask"):
+        assert not hasattr(truncshor.FactoringInstance, name)
+        assert not hasattr(inst, name)
+
+
+def test_factor_mask_is_cached_and_read_only():
+    orbit = truncshor.build_orbit(truncshor.FactoringInstance(N=21, a=2, m=5))
+    assert orbit.factor_mask is orbit.factor_mask
+    assert orbit.factor_mask.nonzero()[0].tolist() == [5, 27]
+    with pytest.raises(ValueError):
+        orbit.factor_mask[0] = True
+
+
 def test_resolution_study_builds_no_peak_tables(monkeypatch):
     def no_peaks(*args):
         raise AssertionError("resolution_study called peak_presence")
@@ -125,11 +147,12 @@ STAGES = {
     "truncate": ["circuits", "trnc_lv"],
     "work_images": ["circuits", "M"],
     "exact_distribution": ["instance", "images"],
-    "tries_until_factor": ["instance", "dist", "seed", "max_tries"],
+    "tries_until_factor": ["orbit", "dist", "seed", "max_tries"],
     "tries_ensemble": ["cells", "seeds", "max_tries"],
+    "peak_presence": ["orbit", "dist"],
     "sample": ["dist", "shots", "seed"],
-    "histogram_chunks": ["instance", "dist", "counts"],
-    "histogram_csv": ["instance", "dist", "counts"],
+    "histogram_chunks": ["orbit", "dist", "counts"],
+    "histogram_csv": ["orbit", "dist", "counts"],
 }
 
 
@@ -143,3 +166,44 @@ def test_pipeline_stage_parameters(name):
 )
 def test_traced_name_resolves(layer, name):
     assert callable(getattr(importlib.import_module(f"truncshor.{layer}"), name))
+
+
+@pytest.fixture
+def orbit_builds(monkeypatch):
+    """The instance of every build_orbit call made while the test runs, through any module."""
+    calls = []
+    original = truncshor.modmath.build_orbit
+
+    def counting(instance):
+        calls.append(instance)
+        return original(instance)
+
+    for module in (truncshor.modmath, truncshor.experiments, truncshor.cli):
+        monkeypatch.setattr(module, "build_orbit", counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--N", "21", "--a", "2", "--m", "5", "--out", "hist.csv"],
+    ["factor", "--N", "21", "--a", "2", "--m", "5", "--seed", "1"],
+    ["study", "--N", "21", "--a", "2", "--m", "4,5", "--trnc", "0:1", "--num-it", "2",
+     "--seed", "1", "--out", "study.csv"],
+])
+def test_each_command_builds_one_orbit(orbit_builds, monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert truncshor.cli.main(["--quiet", *argv]) == 0
+    assert len(orbit_builds) == 1
+
+
+def test_stages_after_the_orbit_build_none(orbit_builds):
+    inst = truncshor.FactoringInstance(N=21, a=2, m=5)
+    orbit = truncshor.build_orbit(inst)
+    circuits = truncshor.synth_all_powers(orbit, inst.m)
+    dist = truncshor.exact_distribution(inst, truncshor.work_images(circuits, inst.M))
+    results = truncshor.truncation_sweep(inst, [0, 1], num_it=2, base_seed=1)
+    orbit_builds.clear()
+    truncshor.histogram_csv(orbit, dist, truncshor.sample(dist, 100, seed=1))
+    truncshor.tries_until_factor(orbit, dist, seed=1)
+    truncshor.study_csv(results)
+    truncshor.study_json(results)
+    assert orbit_builds == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import truncshor
-from truncshor import FactoringInstance, PhaseDistribution, cli, histogram_csv
+from truncshor import FactoringInstance, PhaseDistribution, build_orbit, cli, histogram_csv
 from truncshor.cli import _parse_powers, _parse_range, main
 
 from conftest import run_fresh
@@ -237,7 +237,7 @@ def test_run_streams_the_bytes_of_histogram_csv(tmp_path, capsys, monkeypatch, r
     dist, counts = _histogram_inputs(14, rows, with_counts)
     monkeypatch.setattr(cli, "exact_distribution", lambda instance, images: dist)
     monkeypatch.setattr(cli, "sample", lambda dist, shots, seed: counts)
-    expected = histogram_csv(FactoringInstance(N=143, a=5, m=14), dist, counts)
+    expected = histogram_csv(build_orbit(FactoringInstance(N=143, a=5, m=14)), dist, counts)
     assert expected.count("\n") == 1 + rows
     argv = ["run", "--N", "143", "--a", "5", "--m", "14"]
     if with_counts:
@@ -457,6 +457,28 @@ def test_study_rejects_nonpositive_num_it(tmp_path, capsys, num_it):
     assert code == 2
     assert err == f"error: --num-it must be >= 1, got {num_it}\n"
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("num_it, code", [(3, 0), (4, 2)])
+def test_study_checks_iterations_against_the_budget_first(tmp_path, capsys, monkeypatch, num_it, code):
+    # 2 widths x 2 levels: a budget of 3 iterations' estimated bytes
+    per_it = cli._STUDY_BYTES_PER_IT + 4 * cli._STUDY_BYTES_PER_CELL_IT
+    monkeypatch.setattr(cli, "STUDY_BUDGET", 3 * per_it)
+    if code:
+        def no_orbit(instance):
+            raise AssertionError("orbit built")
+
+        for module in (truncshor.modmath, truncshor.experiments, cli):
+            monkeypatch.setattr(module, "build_orbit", no_orbit)
+    out_file = tmp_path / "study.csv"
+    result = run_cli(
+        capsys,
+        "study", "--N", "21", "--a", "2", "--m", "4,5", "--trnc", "0:1",
+        "--num-it", str(num_it), "--seed", "1", "--out", str(out_file),
+    )
+    err = f"error: --num-it 4 needs {4 * per_it:,} bytes; the study budget is {3 * per_it:,}\n"
+    assert (result[0], result[2]) == ((2, err) if code else (0, ""))
+    assert out_file.exists() == (code == 0)
 
 
 def test_study_rejects_out_of_range_level(tmp_path, capsys):

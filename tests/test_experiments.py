@@ -45,41 +45,40 @@ def test_derive_seed_deterministic_and_spread():
     assert all(0 <= s < (1 << 64) for s in list(seen)[:10])
 
 
-def test_tries_until_factor_point_mass(instances):
-    inst = instances[21]
+def test_tries_until_factor_point_mass(orbits):
     p = np.zeros(32)
     p[5] = 1.0
     dist = PhaseDistribution(m=5, probabilities=p)
-    outcome = tries_until_factor(inst, dist, seed=0)
+    outcome = tries_until_factor(orbits[21], dist, seed=0)
     assert outcome.tries == 1
     assert not outcome.capped
     assert outcome.l == 5
     assert outcome.factors == (7, 3)
 
 
-def test_tries_until_factor_caps(instances):
-    inst = instances[21]
+def test_tries_until_factor_caps(orbits):
     p = np.zeros(32)
     p[0] = 1.0  # barren outcome: only convergent is (0, 1)
     dist = PhaseDistribution(m=5, probabilities=p)
-    outcome = tries_until_factor(inst, dist, seed=3, max_tries=25)
+    outcome = tries_until_factor(orbits[21], dist, seed=3, max_tries=25)
     assert outcome.tries == 25
     assert outcome.capped
     assert outcome.factors is None
 
 
-def one_call_oracle(inst, dist, seed, max_tries):
+def one_call_oracle(orbit, dist, seed, max_tries):
     """Test-side oracle: all max_tries outcomes drawn in one call; the first factor-producing one wins."""
     draws = dist.cdf.searchsorted(np.random.default_rng(seed).random(max_tries), side="right")
-    hits = np.flatnonzero(inst.factor_mask[draws])
+    hits = np.flatnonzero(orbit.factor_mask[draws])
     if hits.size == 0:
         return max_tries, None, True
     return int(hits[0]) + 1, int(draws[hits[0]]), False
 
 
-def test_chunked_draws_match_one_call(monkeypatch, instances):
+def test_chunked_draws_match_one_call(monkeypatch, orbits):
     """Chunks of 16, 32, 64, ... give the one-call stream and stop at the chunk that wins."""
-    inst = instances[21]
+    orbit = orbits[21]
+    inst = orbit.instance
     p = np.zeros(inst.M)
     p[0], p[5] = 299.0, 1.0  # l = 5 wins once in 300 tries, l = 0 never
     dist = PhaseDistribution(m=inst.m, probabilities=p)
@@ -99,7 +98,7 @@ def test_chunked_draws_match_one_call(monkeypatch, instances):
 
     def run(seed, max_tries):
         sizes.clear()
-        outcome = tries_until_factor(inst, dist, seed=seed, max_tries=max_tries)
+        outcome = tries_until_factor(orbit, dist, seed=seed, max_tries=max_tries)
         chunks = [16, 32, 64, 128, 256, 512]
         chunks = [min(c, max_tries - sum(chunks[:k])) for k, c in enumerate(chunks)]
         assert sizes == chunks[: len(sizes)]
@@ -113,7 +112,7 @@ def test_chunked_draws_match_one_call(monkeypatch, instances):
     wanted = {1, 16, 17, 48, 49, 112, 113, 240, 241, 496, 497, 499, 500, "capped"}
     seen = set()
     for seed in range(20000):
-        expected = one_call_oracle(inst, dist, seed, 500)
+        expected = one_call_oracle(orbit, dist, seed, 500)
         assert run(seed, 500) == expected
         seen.add("capped" if expected[2] else expected[0])
         if wanted <= seen:
@@ -123,7 +122,7 @@ def test_chunked_draws_match_one_call(monkeypatch, instances):
     dist = PhaseDistribution(m=inst.m, probabilities=p)
     for max_tries in (1, 15, 16, 17, 30, 48, 49):
         for seed in range(100):
-            assert run(seed, max_tries) == one_call_oracle(inst, dist, seed, max_tries)
+            assert run(seed, max_tries) == one_call_oracle(orbit, dist, seed, max_tries)
 
 
 def test_generators_give_the_default_rng_streams():
@@ -139,39 +138,39 @@ def test_generators_give_the_default_rng_streams():
     with pytest.raises(ValueError, match="non-negative"):
         truncshor.experiments._generators([3, -1])
     with pytest.raises(ValueError, match="non-negative"):
-        tries_until_factor(FactoringInstance(N=21, a=2, m=5), PhaseDistribution(5, np.full(32, 1 / 32)), -1)
+        tries_until_factor(build_orbit(FactoringInstance(N=21, a=2, m=5)), PhaseDistribution(5, np.full(32, 1 / 32)), -1)
 
 
 @pytest.mark.parametrize("N, a", [(21, 4), (25, 2)])  # odd r; a**(r/2) = -1 mod N
 def test_instance_without_factor_outcomes_draws_nothing(monkeypatch, N, a):
-    inst = FactoringInstance(N=N, a=a, m=5)
-    assert not inst.factor_mask.any()
+    orbit = build_orbit(FactoringInstance(N=N, a=a, m=5))
+    assert not orbit.factor_mask.any()
     dist = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
 
     def no_generators(seeds):
         raise AssertionError("generators made")
 
     monkeypatch.setattr(truncshor.experiments, "_generators", no_generators)
-    outcome = tries_until_factor(inst, dist, seed=1, max_tries=77)
+    outcome = tries_until_factor(orbit, dist, seed=1, max_tries=77)
     assert outcome == TryOutcome(tries=77, capped=True)
 
 
-def test_mismatched_distribution_width_is_rejected(instances):
+def test_mismatched_distribution_width_is_rejected(orbits):
     # l = 5 of 2^4 yields no factors; read as l = 5 of 2^5 it would give (7, 3)
-    inst = instances[21]
+    orbit = orbits[21]
     p = np.zeros(16)
     p[5] = 1.0
     dist = PhaseDistribution(m=4, probabilities=p)
     with pytest.raises(ValueError, match="m=4"):
-        tries_until_factor(inst, dist, seed=0)
+        tries_until_factor(orbit, dist, seed=0)
     with pytest.raises(ValueError, match="m=4"):
-        histogram_csv(inst, dist)
+        histogram_csv(orbit, dist)
 
 
-def test_tries_until_factor_untruncated(instances, circuit_sets):
+def test_tries_until_factor_untruncated(instances, orbits, circuit_sets):
     inst = instances[21]
     dist = exact_distribution(inst, work_images(circuit_sets[21], inst.M))
-    outcome = tries_until_factor(inst, dist, seed=derive_seed(12, 0, 0))
+    outcome = tries_until_factor(orbits[21], dist, seed=derive_seed(12, 0, 0))
     assert not outcome.capped
     assert outcome.factors == (7, 3)
     assert 1 <= outcome.tries <= 100
@@ -212,13 +211,13 @@ def test_untruncated_no_worse_than_fully_truncated(instances):
 
 def test_peak_presence_n21(instances, circuit_sets, orbits):
     dist = exact_distribution(instances[21], work_images(circuit_sets[21], instances[21].M))
-    peaks = peak_presence(instances[21], orbits[21], dist)
+    peaks = peak_presence(orbits[21], dist)
     assert peaks == {1: True, 5: True}
 
 
 def test_peak_presence_n33(instances, circuit_sets, orbits):
     dist = exact_distribution(instances[33], work_images(circuit_sets[33], instances[33].M))
-    peaks = peak_presence(instances[33], orbits[33], dist)
+    peaks = peak_presence(orbits[33], dist)
     assert peaks == {1: True, 3: True, 7: True, 9: True}
 
 
@@ -229,7 +228,7 @@ def test_peak_presence_keys():
         inst = FactoringInstance(N=N, a=a, m=6)
         orbit = build_orbit(inst)
         assert keys == {s for s in range(orbit.r) if math.gcd(s, orbit.r) == 1}
-        assert set(peak_presence(inst, orbit, uniform)) == keys
+        assert set(peak_presence(orbit, uniform)) == keys
 
 
 def test_sweep_checks_each_level_as_it_goes():
@@ -251,7 +250,7 @@ def test_resolution_study_shape(instances):
     )
     assert set(cells) == {(4, 0), (4, 1), (5, 0), (5, 1)}
     for (m, t), result in cells.items():
-        assert result.instance.m == m
+        assert result.orbit.instance.m == m
         assert result.trnc_lv == t
 
 
@@ -318,14 +317,15 @@ def test_study_rows_compute_period_once_per_instance(monkeypatch):
     monkeypatch.setattr(truncshor.experiments, "build_orbit", counting)
     study_csv(results)
     study_json(results)
-    assert len(calls) <= len(m_values)
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("N", sorted(CASES))
-def test_every_winning_outcome_gives_the_instance_factor_pair(instances, N):
-    inst = instances[N]
-    pair = extract_factors(inst, inst.r)
-    winners = np.flatnonzero(inst.factor_mask)
+def test_every_winning_outcome_gives_the_instance_factor_pair(orbits, N):
+    orbit = orbits[N]
+    inst = orbit.instance
+    pair = extract_factors(inst, orbit.r)
+    winners = np.flatnonzero(orbit.factor_mask)
     assert winners.size
     for l in winners:
         assert analyze_measurement(inst, int(l)).factors == pair
@@ -348,11 +348,12 @@ def test_tries_until_factor_builds_no_report_and_calls_no_choice(monkeypatch, in
         lambda seeds: [NoChoice(g.bit_generator) for g in generators(seeds)],
     )
     inst = instances[143]
-    circuits = truncate(synth_all_powers(build_orbit(inst), inst.m), 11)
-    outcome = tries_until_factor(inst, exact_distribution(inst, work_images(circuits, inst.M)), seed=9)
+    orbit = build_orbit(inst)
+    circuits = truncate(synth_all_powers(orbit, inst.m), 11)
+    outcome = tries_until_factor(orbit, exact_distribution(inst, work_images(circuits, inst.M)), seed=9)
     assert not outcome.capped
     assert outcome.factors == (11, 13)
-    assert inst.factor_mask[outcome.l]
+    assert orbit.factor_mask[outcome.l]
 
 
 def test_resolution_study_truncates_each_distinct_circuit_once(monkeypatch):
@@ -377,13 +378,13 @@ def test_resolution_study_truncates_each_distinct_circuit_once(monkeypatch):
 def ensemble_cells():
     """N=21, a=4, which never wins, then N=143 at m = 8 and 10, truncated to 19 and 11 levels."""
     uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
-    cells = [(FactoringInstance(N=21, a=4, m=5), uniform)]
+    cells = [(build_orbit(FactoringInstance(N=21, a=4, m=5)), uniform)]
     full = synth_all_powers(build_orbit(FactoringInstance(N=143, a=5, m=10)), 10)
     for t in (19, 11):
         images = work_images(truncate(full, t), 1024)
         for m in (8, 10):
             inst = FactoringInstance(N=143, a=5, m=m)
-            cells.append((inst, exact_distribution(inst, images[: inst.M])))
+            cells.append((build_orbit(inst), exact_distribution(inst, images[: inst.M])))
     return cells
 
 
@@ -395,8 +396,8 @@ def test_tries_ensemble_matches_one_seed_at_a_time(max_tries):
     cells = ensemble_cells()
     outcomes = tries_ensemble(cells, ENSEMBLE_SEEDS, max_tries)
     assert outcomes == [
-        [tries_until_factor_oracle(inst, dist, seed, max_tries) for seed in ENSEMBLE_SEEDS]
-        for inst, dist in cells
+        [tries_until_factor_oracle(orbit, dist, seed, max_tries) for seed in ENSEMBLE_SEEDS]
+        for orbit, dist in cells
     ]
     for o in (o for row in outcomes for o in row):
         assert type(o.tries) is int and (o.l is None or type(o.l) is int)
@@ -411,8 +412,8 @@ def test_tries_ensemble_in_blocks_of_few_seeds(monkeypatch):
     monkeypatch.setattr(truncshor.experiments, "_BLOCK", 64)
     cells = ensemble_cells()
     assert tries_ensemble(cells, ENSEMBLE_SEEDS, 500) == [
-        [tries_until_factor_oracle(inst, dist, seed, 500) for seed in ENSEMBLE_SEEDS]
-        for inst, dist in cells
+        [tries_until_factor_oracle(orbit, dist, seed, 500) for seed in ENSEMBLE_SEEDS]
+        for orbit, dist in cells
     ]
 
 
@@ -422,14 +423,16 @@ def test_tries_ensemble_checks_every_cell_before_any_generator(monkeypatch):
 
     monkeypatch.setattr(truncshor.experiments, "_generators", no_generators)
     uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
-    barren = [(FactoringInstance(N=21, a=4, m=5), uniform), (FactoringInstance(N=25, a=2, m=5), uniform)]
+    barren = [(build_orbit(FactoringInstance(N=21, a=4, m=5)), uniform),
+              (build_orbit(FactoringInstance(N=25, a=2, m=5)), uniform)]
     assert tries_ensemble(barren, [1, 2, 3], 9) == [[TryOutcome(tries=9, capped=True)] * 3] * 2
-    winning = (FactoringInstance(N=21, a=2, m=5), uniform)
+    orbit = build_orbit(FactoringInstance(N=21, a=2, m=5))
+    winning = (orbit, uniform)
     with pytest.raises(ValueError, match="max_tries must be >= 1, got 0"):
         tries_ensemble([winning], [1], 0)
     narrow = PhaseDistribution(m=4, probabilities=np.full(16, 1 / 16))
     with pytest.raises(ValueError, match="m=4"):
-        tries_ensemble([winning, (FactoringInstance(N=21, a=2, m=5), narrow)], [1], 5)
+        tries_ensemble([winning, (orbit, narrow)], [1], 5)
 
 
 def test_resolution_study_makes_one_generator_per_seed_and_level(monkeypatch):

@@ -154,9 +154,10 @@ def test_truncation_sweep_bytes():
 
 def test_histogram_csv_bytes():
     inst = FactoringInstance(N=143, a=5, m=12)
-    circuits = truncate(synth_all_powers(build_orbit(inst), 12), 10)
+    orbit = build_orbit(inst)
+    circuits = truncate(synth_all_powers(orbit, 12), 10)
     dist = exact_distribution(inst, work_images(circuits, inst.M))
-    text = histogram_csv(inst, dist, sample(dist, 4096, 1905))
+    text = histogram_csv(orbit, dist, sample(dist, 4096, 1905))
     assert sha256(text) == HISTOGRAM_143_DIGEST
 
 

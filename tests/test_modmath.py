@@ -10,6 +10,7 @@ import truncshor.modmath
 from truncshor import (
     FactoringInstance,
     NotCoprimeError,
+    Orbit,
     TrivialFactorError,
     analyze_measurement,
     build_orbit,
@@ -310,7 +311,7 @@ MASK_CASES = [(N, a, m) for N, (a, m) in CASES.items()] + [
 def test_factor_mask_matches_analysis(N, a, m):
     inst = FactoringInstance(N=N, a=a, m=m)
     expected = [analyze_measurement(inst, l).factors is not None for l in range(inst.M)]
-    assert inst.factor_mask.tolist() == expected
+    assert build_orbit(inst).factor_mask.tolist() == expected
 
 
 @pytest.mark.parametrize("block, max_m", [(1, 10), (3, 10), (truncshor.modmath._EUCLID_BLOCK, 13)])
@@ -323,45 +324,37 @@ def test_blocked_factor_mask_equals_one_pass(monkeypatch, block, max_m):
     seen = set()
     for N in range(15, 64, 2):
         for a in (a for a in range(2, N) if gcd(a, N) == 1):
-            base = FactoringInstance(N=N, a=a, m=1)
-            accepted = check_period(base, base.r).accepted
-            for m in range(1, min(2 * base.n + 1, max_m) + 1):
+            base = build_orbit(FactoringInstance(N=N, a=a, m=1))
+            accepted = check_period(base.instance, base.r).accepted
+            for m in range(1, min(2 * base.instance.n + 1, max_m) + 1):
                 if (base.r, accepted, m) in seen:
                     continue
                 seen.add((base.r, accepted, m))
-                inst = FactoringInstance(N=N, a=a, m=m)
-                assert inst.factor_mask.tolist() == factor_mask_oracle(inst).tolist(), (N, a, m)
+                orbit = Orbit(FactoringInstance(N=N, a=a, m=m), base.states)
+                assert orbit.factor_mask.tolist() == factor_mask_oracle(orbit).tolist(), (N, a, m)
     assert {r for r, accepted, _ in seen if accepted} == {2, 4, 6, 8, 10, 12, 16, 18, 20}
 
 
 @pytest.mark.parametrize("N, a, m", [(143, 5, 17), (247, 2, 16)])
 def test_factor_mask_over_several_blocks_equals_one_pass(N, a, m):
-    inst = FactoringInstance(N=N, a=a, m=m)
-    assert inst.M >= 4 * truncshor.modmath._EUCLID_BLOCK
-    assert inst.factor_mask.any()
-    assert inst.factor_mask.tolist() == factor_mask_oracle(inst).tolist()
+    orbit = build_orbit(FactoringInstance(N=N, a=a, m=m))
+    assert orbit.instance.M >= 4 * truncshor.modmath._EUCLID_BLOCK
+    assert orbit.factor_mask.any()
+    assert orbit.factor_mask.tolist() == factor_mask_oracle(orbit).tolist()
 
 
 def test_factor_mask_temporaries_are_one_block():
     # one pass over all 2^20 values of l held five int64 arrays and their
     # compressed copies: an 82.9 MiB peak
-    inst = FactoringInstance(N=1001, a=2, m=20)
+    orbit = build_orbit(FactoringInstance(N=1001, a=2, m=20))
     tracemalloc.start()
     try:
-        mask = inst.factor_mask
+        mask = orbit.factor_mask
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
     assert mask.shape == (1 << 20,) and mask.any()
-
-
-def test_factor_mask_is_cached_and_read_only():
-    inst = FactoringInstance(N=21, a=2, m=5)
-    assert inst.factor_mask is inst.factor_mask
-    assert inst.factor_mask.nonzero()[0].tolist() == [5, 27]
-    with pytest.raises(ValueError):
-        inst.factor_mask[0] = True
 
 
 def test_report_json_round_trip():

@@ -450,11 +450,11 @@ def test_sample_uniform_binomial_band():
         assert abs(int(c) - 1024) < 5 * sigma
 
 
-def test_histogram_csv(instances, circuit_sets):
+def test_histogram_csv(instances, orbits, circuit_sets):
     inst = instances[21]
     dist = exact_distribution(inst, work_images(circuit_sets[21], inst.M))
     counts = sample(dist, 4096, seed=5)
-    text = histogram_csv(inst, dist, counts)
+    text = histogram_csv(orbits[21], dist, counts)
     lines = text.strip().splitlines()
     assert lines[0] == "ell,phase_binary,phase_decimal,probability,counts,produces_factors"
     rows = {int(line.split(",")[0]): line.split(",") for line in lines[1:]}
@@ -468,14 +468,14 @@ def test_histogram_csv(instances, circuit_sets):
 
 
 @pytest.mark.parametrize("sample_m", [4, 6])
-def test_histogram_csv_rejects_sample_of_other_width(instances, circuit_sets, sample_m):
+def test_histogram_csv_rejects_sample_of_other_width(instances, orbits, circuit_sets, sample_m):
     inst = instances[21]
     dist = exact_distribution(inst, work_images(circuit_sets[21], inst.M))
     other_inst = FactoringInstance(N=21, a=2, m=sample_m)
     other_images = work_images(synth_all_powers(build_orbit(other_inst), sample_m), other_inst.M)
     other = sample(exact_distribution(other_inst, other_images), 100, seed=1)
     with pytest.raises(ValueError, match=rf"counts of shape \({1 << sample_m},\), need \(32,\)"):
-        histogram_csv(inst, dist, other)
+        histogram_csv(orbits[21], dist, other)
 
 
 def choice_draws(dist, k, seed):
@@ -550,7 +550,7 @@ BAD_PROBABILITIES = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_PROBABILITIES))
-def test_phase_distribution_rejects_bad_probabilities(instances, case):
+def test_phase_distribution_rejects_bad_probabilities(orbits, case):
     def bad():
         return PhaseDistribution(m=5, probabilities=BAD_PROBABILITIES[case])
 
@@ -559,4 +559,4 @@ def test_phase_distribution_rejects_bad_probabilities(instances, case):
     with pytest.raises(ValueError, match="probabilities"):
         sample(bad(), 100, seed=1)
     with pytest.raises(ValueError, match="probabilities"):
-        tries_until_factor(instances[21], bad(), seed=1)
+        tries_until_factor(orbits[21], bad(), seed=1)
