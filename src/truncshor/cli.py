@@ -32,9 +32,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_FACTORS = 3
 
-# A study's peak RSS grows by about 1,180 bytes per iteration (its seed's generator) and 182
-# per iteration and cell, a width and a level below r < N (its tries and their JSON text).
-_STUDY_BYTES_PER_IT, _STUDY_BYTES_PER_CELL_IT = 1_200, 190
+# A study's peak RSS grows by about 247 bytes per iteration (its seed's stream) and 201 per iteration
+# and cell, a width and a level below r < N (tries and their JSON text): scripts/study_budget.py.
+_STUDY_BYTES_PER_IT, _STUDY_BYTES_PER_CELL_IT = 250, 205
 STUDY_BUDGET = 1 << 30  # bytes
 
 

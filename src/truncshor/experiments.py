@@ -3,14 +3,14 @@
 A "try" is one sampled measurement l of the control register; it succeeds
 when continued fractions on l yield factors (``orbit.factor_mask[l]``),
 and barren draws (l = 0 and friends) count as failed tries. All randomness
-flows from explicit seeds through a fixed avalanche mixer, so every result
-is reproducible bit for bit.
+flows from explicit seeds through a fixed avalanche mixer, and a seed's draws
+are ``np.random.default_rng(seed)``'s, computed for all seeds at once without
+numpy.random, so every result is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import operator
@@ -25,7 +25,7 @@ from .shor import PhaseDistribution, exact_distribution, nearest_phase_bin, work
 from .synth import check_trnc_lv, synth_all_powers, truncate
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 1 << 18  # doubles per block of draws: 2 MiB, however many seeds are open
+_BLOCK = 1 << 18  # doubles per block of draws, however many seeds are open: 2 MiB, and 6-6.5 MiB at _uniforms' peak
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -92,47 +92,77 @@ def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], axis=1)
 
 
-@functools.cache
-def _precomputed_seed_type() -> type:
-    """An ``ISeedSequence`` that hands PCG64 given state words (PCG64 only asks for
-    ``generate_state(4, np.uint64)``). Made once, on first use, so that importing
-    this module does not import numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Precomputed(ISeedSequence):
-        def __init__(self, state: np.ndarray) -> None:
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return Precomputed
+def _split(limbs: np.ndarray, bits: int) -> np.ndarray:
+    """Each row's limbs cut into limbs of ``bits`` bits, low first."""
+    out = np.empty((*limbs.shape, 2), np.uint64)
+    np.bitwise_and(limbs, (1 << bits) - 1, out=out[..., 0])
+    np.right_shift(limbs, bits, out=out[..., 1])
+    return out.reshape(len(limbs), -1)
 
 
-def _generators(seeds: Sequence[int]) -> list:
-    """``[np.random.default_rng(seed) for seed in seeds]``, the same streams, with the
-    SeedSequence hashing done for all seeds at once.
+def _streams(seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each seed's PCG64 state and increment as ``np.random.default_rng(seed)`` sets them, in
+    (seeds, 4) arrays of 32-bit limbs, low first: SeedSequence's hashing for all seeds at once.
 
     A seed's entropy is its uint32 words; a seed below 2**128 is zero-padded to
     ``_POOL`` words, as SeedSequence fills missing pool words with hashmix(0).
-    Longer seeds are hashed in groups of equal word count.
+    Longer seeds are hashed in groups of equal word count. The four state words give
+    s = w0:w1 and i = w2:w3, high first; inc = 2i + 1, and the state is one step from s + inc.
     """
-    from numpy.random import PCG64, Generator
-
-    precomputed = _precomputed_seed_type()
     seeds = [operator.index(seed) for seed in seeds]
     groups: dict[int, list[int]] = {}
     for i, seed in enumerate(seeds):
         if seed < 0:
             raise ValueError("expected non-negative integer")
         groups.setdefault(max(_POOL, -(-seed.bit_length() // 32)), []).append(i)
-    out: list = [None] * len(seeds)
+    words = np.empty((len(seeds), 4), np.uint64)
     for width, members in groups.items():
         blob = b"".join(seeds[i].to_bytes(4 * width, "little") for i in members)
-        states = _pcg64_states(np.frombuffer(blob, dtype="<u4").reshape(-1, width))
-        for i, state in zip(members, states):
-            out[i] = Generator(PCG64(precomputed(state)))
-    return out
+        words[members] = _pcg64_states(np.frombuffer(blob, dtype="<u4").reshape(-1, width))
+    s_hi, s_lo, i_hi, i_lo = words.T
+    inc = _split(np.stack([i_lo << 1 | 1, i_hi << 1 | i_lo >> 63], axis=1), 32)
+    start = _split(np.stack([s_lo, s_hi], axis=1), 32) + inc  # limbs of up to 33 bits
+    return _uniforms(start, inc, 1)[1], inc
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_CHUNK = 1 << 12  # draws per seed and chunk at most: the jump table keeps 192 B per draw
+_jump_table = np.empty((24, 0), np.uint64)
+
+
+def _uniforms(state: np.ndarray, inc: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``size`` doubles of each row's PCG64 stream, (rows, size), and the states after them.
+
+    Draw j's state is A_j * state + B_j * inc mod 2**128 (A_j = MULT**j, B_j = MULT**(j-1) + ... + 1),
+    its double (rotr64(hi ^ lo, state >> 122) >> 11) * 2**-53. On 16-bit limbs s_q of state and inc
+    (17 bits are fine), each word is a uint64 matmul with the words of A_j << 16q and B_j << 16q; the
+    low word's 32-bit halves, summed exactly, carry into the high word. Three (rows, size) arrays live.
+    """
+    global _jump_table  # grown to the largest size asked for and sliced
+    if _jump_table.shape[1] < size:
+        a, b, rows = 1, 0, []
+        for _ in range(size):
+            a, b = a * _PCG_MULT % 2**128, (b * _PCG_MULT + 1) % 2**128
+            shifted = [(x << 16 * q) % 2**128 for half in (0, 4) for x in (a, b) for q in range(half, half + 4)]
+            rows.append([z & _MASK64 for z in shifted[:8]] + [z >> 64 for z in shifted])
+        _jump_table = np.array(rows, np.uint64).T
+    low, high = _jump_table[:8, :size], _jump_table[8:, :size]
+    # limbs 0-3 of state and inc, the ones a low word takes, then limbs 4-7
+    seeds = _split(np.concatenate([state[:, :2], inc[:, :2], state[:, 2:], inc[:, 2:]], axis=1), 16)
+    carry = seeds[:, :8] @ (low & 0xFFFFFFFF) >> 32
+    carry += seeds[:, :8] @ (low >> 32)
+    carry >>= 32
+    carry += seeds @ high  # the high words
+    x = seeds[:, :8] @ low  # the low words
+    del seeds
+    ends = _split(np.stack([x[:, -1], carry[:, -1]], axis=1), 32)
+    x ^= carry
+    carry >>= 58  # the rotation
+    limb = x >> carry
+    x <<= np.bitwise_and(np.negative(carry, out=carry), 63, out=carry)
+    x |= limb
+    del carry, limb
+    return (x >> 11) * 2.0**-53, ends
 
 
 @dataclass(frozen=True)
@@ -152,7 +182,7 @@ def tries_ensemble(
 ) -> list[list[TryOutcome]]:
     """Tries until factor for every (orbit, dist) cell and seed: ``outcomes[c][i]``.
 
-    Seed i makes one generator for every cell, read in chunks of 16, 32, 64, ...
+    Seed i's one stream serves every cell, read in chunks of 16, 32, ..., 4096, 4096, ...
     up to max_tries in all (the same doubles as one call) until each cell has won
     on it: fewer than 2 * tries + 16 values for its slowest cell. A cell wins at
     the first ``dist.cdf`` outcome its ``factor_mask`` accepts, which splits N as
@@ -167,13 +197,13 @@ def tries_ensemble(
     outcomes = [[TryOutcome(tries=max_tries, capped=True)] * len(seeds) for _ in cells]
     pairs = [extract_factors(o.instance, o.r) if o.factor_mask.any() else None for o, _ in cells]
     pending = np.array([[pair is not None] * len(seeds) for pair in pairs], dtype=bool)
-    rngs = _generators(seeds) if pending.any() else []
+    state, inc = _streams(seeds) if pending.any() else (None, None)
     offset, size = 0, 16
     while offset < max_tries and (drawn := np.flatnonzero(pending.any(axis=0))).size:
         size = min(size, max_tries - offset)
         step = max(1, _BLOCK // size)  # seeds per block: at most _BLOCK doubles, or one chunk
         for group in (drawn[start : start + step] for start in range(0, drawn.size, step)):
-            block = np.stack([rngs[i].random(size) for i in group])
+            block, state[group] = _uniforms(state[group], inc[group], size)
             for c, (orbit, dist) in enumerate(cells):
                 rows = pending[c, group]
                 draws = dist.cdf.searchsorted(block[rows], side="right")
@@ -184,7 +214,7 @@ def tries_ensemble(
                 for i, j, l in zip(winners, first[won], draws[won, first[won]]):
                     outcomes[c][i] = TryOutcome(offset + int(j) + 1, False, int(l), pairs[c])
                 pending[c, winners] = False
-        offset, size = offset + size, 2 * size
+        offset, size = offset + size, min(2 * size, _CHUNK)
     return outcomes
 
 

@@ -543,10 +543,33 @@ def test_cli_import_loads_no_thread_pool():
 
 
 def test_cli_import_loads_no_numpy_random():
-    """numpy.random is imported only when generators are made: loaded at start-up it
-    would add to every command's set-up time and to the peak RSS of ``run``."""
+    """numpy.random is imported only by ``shor.sample``, for ``run --shots``: loaded at
+    start-up it would add to every command's set-up time and peak RSS."""
     probe = "import sys, truncshor.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
     assert run_fresh(probe) == "[]"
+
+
+def test_tries_load_no_numpy_random_and_only_shots_do(tmp_path):
+    """``factor`` and ``study`` draw their tries without numpy.random; ``run --shots`` loads it,
+    so ``sample`` is its one user."""
+    commands = [
+        ["factor", "--N", "21", "--a", "2", "--m", "5", "--seed", "1"],
+        ["study", "--N", "21", "--a", "2", "--m", "4,5", "--trnc", "0:2", "--num-it", "3",
+         "--seed", "1", "--out", str(tmp_path / "study.csv")],
+        None,  # report what is loaded
+        ["run", "--N", "21", "--a", "2", "--m", "5", "--shots", "10", "--seed", "1",
+         "--out", str(tmp_path / "h.csv")],
+        None,
+    ]
+    probe = (
+        "import sys, truncshor.cli as cli\n"
+        f"for argv in {commands!r}:\n"
+        "    if argv: assert cli.main(['--quiet', *argv]) == 0\n"
+        "    else: print('loaded', sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    loaded = [line for line in run_fresh(probe).splitlines() if line.startswith("loaded ")]
+    assert loaded[0] == "loaded []"
+    assert "'numpy.random'" in loaded[1]
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory in the way"])

@@ -83,22 +83,18 @@ def test_chunked_draws_match_one_call(monkeypatch, orbits):
     p[0], p[5] = 299.0, 1.0  # l = 5 wins once in 300 tries, l = 0 never
     dist = PhaseDistribution(m=inst.m, probabilities=p)
     sizes = []
-    generators = truncshor.experiments._generators
+    uniforms = truncshor.experiments._uniforms
 
-    class RecordingGenerator(np.random.Generator):
-        def random(self, size):
-            sizes.append(size)
-            return super().random(size)
+    def recording(state, inc, size):
+        sizes.append(size)
+        return uniforms(state, inc, size)
 
-    monkeypatch.setattr(
-        truncshor.experiments,
-        "_generators",
-        lambda seeds: [RecordingGenerator(g.bit_generator) for g in generators(seeds)],
-    )
+    monkeypatch.setattr(truncshor.experiments, "_uniforms", recording)
 
     def run(seed, max_tries):
         sizes.clear()
         outcome = tries_until_factor(orbit, dist, seed=seed, max_tries=max_tries)
+        assert sizes.pop(0) == 1  # seeding: _streams steps once from s + inc
         chunks = [16, 32, 64, 128, 256, 512]
         chunks = [min(c, max_tries - sum(chunks[:k])) for k, c in enumerate(chunks)]
         assert sizes == chunks[: len(sizes)]
@@ -125,20 +121,60 @@ def test_chunked_draws_match_one_call(monkeypatch, orbits):
             assert run(seed, max_tries) == one_call_oracle(orbit, dist, seed, max_tries)
 
 
-def test_generators_give_the_default_rng_streams():
+def test_streams_give_the_default_rng_streams():
     # Edge seeds: word-count boundaries of SeedSequence's uint32 entropy (4 words fill
-    # its pool; more take its extra-word mixing).
-    edges = [0, 1, 5, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160 + 3]
+    # its pool; more take its extra-word mixing), and the top bits of PCG64's 128-bit words.
+    edges = [0, 1, 5, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**127, 2**128 - 1, 2**128, 2**160 + 3]
     randoms = np.random.default_rng(20).integers(0, 2**64, 300, dtype=np.uint64).tolist()
     seeds = edges + randoms + edges
-    for generator, seed in zip(truncshor.experiments._generators(seeds), seeds, strict=True):
-        reference = np.random.default_rng(seed)
-        for size in (16, 32, 40):
-            assert np.array_equal(generator.random(size), reference.random(size)), (seed, size)
+    state, inc = truncshor.experiments._streams(seeds)
+    assert state.shape == inc.shape == (len(seeds), 4) and state.dtype == inc.dtype == np.uint64
+    assert state.max() < 2**32 and inc.max() < 2**32  # 32-bit limbs
+    references = [np.random.default_rng(seed) for seed in seeds]
+    for size in (16, 32, 40, 1, 4):
+        drawn, state = truncshor.experiments._uniforms(state, inc, size)
+        for row, seed, reference in zip(drawn, seeds, references, strict=True):
+            assert np.array_equal(row, reference.random(size)), (seed, size)
     with pytest.raises(ValueError, match="non-negative"):
-        truncshor.experiments._generators([3, -1])
+        truncshor.experiments._streams([3, -1])
     with pytest.raises(ValueError, match="non-negative"):
         tries_until_factor(build_orbit(FactoringInstance(N=21, a=2, m=5)), PhaseDistribution(5, np.full(32, 1 / 32)), -1)
+
+
+@pytest.mark.parametrize("size", [16, 256])
+def test_uniforms_at_a_full_block_hold_at_most_four_blocks(size):
+    # three (seeds, size) uint64 arrays live at once, and 16 limbs a seed: a chunk's worth at 16
+    state, inc = truncshor.experiments._streams(range(truncshor.experiments._BLOCK // size))
+    truncshor.experiments._uniforms(state[:1], inc[:1], size)  # the jump table, grown once
+    tracemalloc.start()
+    try:
+        drawn, _ = truncshor.experiments._uniforms(state, inc, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn.shape == (len(state), size) and drawn.size == truncshor.experiments._BLOCK
+    assert peak <= 4 * drawn.nbytes
+
+
+def test_chunks_stop_doubling_at_the_chunk_cap(monkeypatch, orbits):
+    orbit = orbits[21]
+    p = np.zeros(orbit.instance.M)
+    p[0], p[5] = 299.0, 1.0
+    dist = PhaseDistribution(m=orbit.instance.m, probabilities=p)
+    sizes = []
+    uniforms = truncshor.experiments._uniforms
+
+    def recording(state, inc, size):
+        sizes.append(size)
+        return uniforms(state, inc, size)
+
+    monkeypatch.setattr(truncshor.experiments, "_uniforms", recording)
+    monkeypatch.setattr(truncshor.experiments, "_CHUNK", 32)
+    for seed in range(40):
+        sizes.clear()
+        outcome = tries_until_factor(orbit, dist, seed=seed, max_tries=100)
+        assert (outcome.tries, outcome.l, outcome.capped) == one_call_oracle(orbit, dist, seed, 100)
+        assert sizes == [1, 16, 32, 32, 20][: len(sizes)]
 
 
 @pytest.mark.parametrize("N, a", [(21, 4), (25, 2)])  # odd r; a**(r/2) = -1 mod N
@@ -147,10 +183,10 @@ def test_instance_without_factor_outcomes_draws_nothing(monkeypatch, N, a):
     assert not orbit.factor_mask.any()
     dist = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
 
-    def no_generators(seeds):
-        raise AssertionError("generators made")
+    def no_streams(seeds):
+        raise AssertionError("streams seeded")
 
-    monkeypatch.setattr(truncshor.experiments, "_generators", no_generators)
+    monkeypatch.setattr(truncshor.experiments, "_streams", no_streams)
     outcome = tries_until_factor(orbit, dist, seed=1, max_tries=77)
     assert outcome == TryOutcome(tries=77, capped=True)
 
@@ -331,22 +367,17 @@ def test_every_winning_outcome_gives_the_instance_factor_pair(orbits, N):
         assert analyze_measurement(inst, int(l)).factors == pair
 
 
-def test_tries_until_factor_builds_no_report_and_calls_no_choice(monkeypatch, instances, circuit_sets):
-    class NoChoice(np.random.Generator):
-        def choice(self, *args, **kwargs):
-            raise AssertionError("Generator.choice called")
-
+def test_tries_until_factor_builds_no_report_and_makes_no_generator(monkeypatch, instances, circuit_sets):
     def no_report(*args, **kwargs):
         raise AssertionError("analyze_measurement called")
 
+    def no_generator(*args, **kwargs):
+        raise AssertionError("numpy.random generator made")
+
     for module in (truncshor, truncshor.modmath, truncshor.experiments):
         monkeypatch.setattr(module, "analyze_measurement", no_report, raising=False)
-    generators = truncshor.experiments._generators
-    monkeypatch.setattr(
-        truncshor.experiments,
-        "_generators",
-        lambda seeds: [NoChoice(g.bit_generator) for g in generators(seeds)],
-    )
+    for name in ("Generator", "default_rng", "PCG64", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, no_generator)
     inst = instances[143]
     orbit = build_orbit(inst)
     circuits = truncate(synth_all_powers(orbit, inst.m), 11)
@@ -418,10 +449,10 @@ def test_tries_ensemble_in_blocks_of_few_seeds(monkeypatch):
 
 
 def test_tries_ensemble_checks_every_cell_before_any_generator(monkeypatch):
-    def no_generators(seeds):
-        raise AssertionError("generators made")
+    def no_streams(seeds):
+        raise AssertionError("streams seeded")
 
-    monkeypatch.setattr(truncshor.experiments, "_generators", no_generators)
+    monkeypatch.setattr(truncshor.experiments, "_streams", no_streams)
     uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
     barren = [(build_orbit(FactoringInstance(N=21, a=4, m=5)), uniform),
               (build_orbit(FactoringInstance(N=25, a=2, m=5)), uniform)]
@@ -435,17 +466,17 @@ def test_tries_ensemble_checks_every_cell_before_any_generator(monkeypatch):
         tries_ensemble([winning, (orbit, narrow)], [1], 5)
 
 
-def test_resolution_study_makes_one_generator_per_seed_and_level(monkeypatch):
-    # both widths of a level read the same seeds, so one generator serves them
+def test_resolution_study_seeds_one_stream_per_seed_and_level(monkeypatch):
+    # both widths of a level read the same seeds, so one stream serves them
     seeds, calls = [], []
-    generators = truncshor.experiments._generators
+    streams = truncshor.experiments._streams
 
     def recording(level_seeds):
         calls.append(len(level_seeds))
         seeds.extend(level_seeds)
-        return generators(level_seeds)
+        return streams(level_seeds)
 
-    monkeypatch.setattr(truncshor.experiments, "_generators", recording)
+    monkeypatch.setattr(truncshor.experiments, "_streams", recording)
     resolution_study(FactoringInstance(N=143, a=5, m=10), [8, 10], [0, 11, 19], 5, 3)
     assert seeds == [derive_seed(3, t, i) for t in (0, 11, 19) for i in range(5)]
     assert calls == [5, 5, 5]  # one pass per level
