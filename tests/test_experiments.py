@@ -76,7 +76,7 @@ def one_call_oracle(orbit, dist, seed, max_tries):
 
 
 def test_chunked_draws_match_one_call(monkeypatch, orbits):
-    """Chunks of 16, 32, 64, ... give the one-call stream and stop at the chunk that wins."""
+    """Chunks of 16, 32, 64, ... up to _CHUNK give the one-call stream and stop at the chunk that wins."""
     orbit = orbits[21]
     inst = orbit.instance
     p = np.zeros(inst.M)
@@ -95,7 +95,7 @@ def test_chunked_draws_match_one_call(monkeypatch, orbits):
         sizes.clear()
         outcome = tries_until_factor(orbit, dist, seed=seed, max_tries=max_tries)
         assert sizes.pop(0) == 1  # seeding: _streams steps once from s + inc
-        chunks = [16, 32, 64, 128, 256, 512]
+        chunks = [min(c, truncshor.experiments._CHUNK) for c in (16, 32, 64, 128, 256, 512)]
         chunks = [min(c, max_tries - sum(chunks[:k])) for k, c in enumerate(chunks)]
         assert sizes == chunks[: len(sizes)]
         if outcome.capped:
@@ -114,6 +114,10 @@ def test_chunked_draws_match_one_call(monkeypatch, orbits):
         if wanted <= seen:
             break
     assert wanted <= seen
+    with monkeypatch.context() as patch:  # chunks stop doubling at _CHUNK
+        patch.setattr(truncshor.experiments, "_CHUNK", 32)
+        for seed in range(40):
+            assert run(seed, 100) == one_call_oracle(orbit, dist, seed, 100)
     p[0], p[5] = 3.0, 1.0
     dist = PhaseDistribution(m=inst.m, probabilities=p)
     for max_tries in (1, 15, 16, 17, 30, 48, 49):
@@ -131,7 +135,7 @@ def test_streams_give_the_default_rng_streams():
     assert state.shape == inc.shape == (len(seeds), 4) and state.dtype == inc.dtype == np.uint64
     assert state.max() < 2**32 and inc.max() < 2**32  # 32-bit limbs
     references = [np.random.default_rng(seed) for seed in seeds]
-    for size in (16, 32, 40, 1, 4):
+    for size in (16, 32, 40, 1, 4, 4096):  # the last, 1.4M draws, to meet rare carries
         drawn, state = truncshor.experiments._uniforms(state, inc, size)
         for row, seed, reference in zip(drawn, seeds, references, strict=True):
             assert np.array_equal(row, reference.random(size)), (seed, size)
@@ -154,27 +158,6 @@ def test_uniforms_at_a_full_block_hold_at_most_four_blocks(size):
         tracemalloc.stop()
     assert drawn.shape == (len(state), size) and drawn.size == truncshor.experiments._BLOCK
     assert peak <= 4 * drawn.nbytes
-
-
-def test_chunks_stop_doubling_at_the_chunk_cap(monkeypatch, orbits):
-    orbit = orbits[21]
-    p = np.zeros(orbit.instance.M)
-    p[0], p[5] = 299.0, 1.0
-    dist = PhaseDistribution(m=orbit.instance.m, probabilities=p)
-    sizes = []
-    uniforms = truncshor.experiments._uniforms
-
-    def recording(state, inc, size):
-        sizes.append(size)
-        return uniforms(state, inc, size)
-
-    monkeypatch.setattr(truncshor.experiments, "_uniforms", recording)
-    monkeypatch.setattr(truncshor.experiments, "_CHUNK", 32)
-    for seed in range(40):
-        sizes.clear()
-        outcome = tries_until_factor(orbit, dist, seed=seed, max_tries=100)
-        assert (outcome.tries, outcome.l, outcome.capped) == one_call_oracle(orbit, dist, seed, 100)
-        assert sizes == [1, 16, 32, 32, 20][: len(sizes)]
 
 
 @pytest.mark.parametrize("N, a", [(21, 4), (25, 2)])  # odd r; a**(r/2) = -1 mod N
