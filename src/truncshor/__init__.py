@@ -11,7 +11,6 @@ from .circuit import (
     Control,
     Gate,
     LeveledCircuit,
-    PermutationTable,
     apply_gates,
     apply_to_basis,
     apply_to_basis_array,

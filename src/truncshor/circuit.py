@@ -110,17 +110,6 @@ class LeveledCircuit:
         return sum(len(level) for level in self.levels)
 
 
-@dataclass(frozen=True)
-class PermutationTable:
-    """Certificate of a circuit's action on a chosen domain of basis states."""
-
-    domain: tuple[int, ...]
-    image: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"domain": list(self.domain), "image": list(self.image)}
-
-
 def _width(gates: Iterable[Gate]) -> int:
     """The qubits the gates span: one more than the highest qubit any of them touches."""
     # a gate's controls are sorted by qubit, so the last one is its highest
@@ -195,10 +184,10 @@ def apply_to_basis_array(circuit: LeveledCircuit, values: Iterable[int] | np.nda
     return apply_gates(circuit.gates(), values)
 
 
-def permutation_table(circuit: LeveledCircuit, domain: Iterable[int]) -> PermutationTable:
-    """The circuit's images of ``domain``, evaluated over the domain alone."""
-    dom = tuple(domain)
-    return PermutationTable(domain=dom, image=tuple(apply_to_basis_array(circuit, dom).tolist()))
+def permutation_table(circuit: LeveledCircuit, domain: Iterable[int]) -> dict:
+    """The certificate JSON object ``{"domain": [...], "image": [...]}``, evaluated over the domain alone."""
+    dom = list(domain)
+    return {"domain": dom, "image": apply_to_basis_array(circuit, dom).tolist()}
 
 
 def lower_negative_controls(circuit: LeveledCircuit) -> LeveledCircuit:

@@ -59,6 +59,14 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
         raise OSError(e.errno, e.strerror, str(path)) from e
 
 
+def _check_parent(path: Path) -> None:
+    """Raise now the OSError ``_write_atomic`` would raise for path's directory: make a temp file there."""
+    try:
+        tempfile.TemporaryFile(dir=path.parent).close()
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from e
+
+
 def _emit(args: argparse.Namespace, event: dict, text: str) -> None:
     if args.quiet:
         print(json.dumps(event))
@@ -155,9 +163,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     orbit = build_orbit(_within_width(FactoringInstance(N=args.N, a=args.a, m=1)))
     powers = _parse_powers(args.powers)
     check_trnc_lv(args.trnc_lv, orbit.r)
-    circuits = truncate(synth_powers(orbit, powers), args.trnc_lv)
     out_dir = Path(args.out)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # removed if synthesis fails
     out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        circuits = truncate(synth_powers(orbit, powers), args.trnc_lv)
+    except ProtectedCollisionError:
+        for d in made:
+            d.rmdir()
+        raise
     certs: dict[int, str] = {}  # by circuit identity: congruent powers share one circuit
     for p, shared in zip(powers, circuits):
         stem = f"me_N{args.N}_a{args.a}_p{p}_trnc{args.trnc_lv}"
@@ -168,8 +182,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             path = out_dir / f"{stem}.qasm"
             _write_atomic(path, [qasm.to_qasm3(shared)])
         if id(shared) not in certs:
-            cert = circuit_mod.permutation_table(shared, orbit.states)
-            certs[id(shared)] = json.dumps(cert.to_json_dict(), indent=2) + "\n"
+            certs[id(shared)] = json.dumps(circuit_mod.permutation_table(shared, orbit.states), indent=2) + "\n"
         cert_path = out_dir / f"{stem}_cert.json"
         _write_atomic(cert_path, [certs[id(shared)]])
         _emit(
@@ -189,6 +202,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         _at_least("--seed", args.seed, 0)
     instance = _within_width(FactoringInstance(N=args.N, a=args.a, m=args.m))
+    if args.out:
+        _check_parent(Path(args.out))
     orbit = build_orbit(instance)
     check_trnc_lv(args.trnc_lv, orbit.r)
     circuits = truncate(synth_all_powers(orbit, args.m), args.trnc_lv)
@@ -254,6 +269,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     if (need := args.num_it * (_STUDY_BYTES_PER_IT + _STUDY_BYTES_PER_CELL_IT * num_cells)) > STUDY_BUDGET:
         raise ValueError(f"--num-it {args.num_it} needs {need:,} bytes; the study budget is {STUDY_BUDGET:,}")
     _at_least("--max-tries", args.max_tries, 1)
+    _check_parent(out_path)
     cells = resolution_study(
         instance,
         m_values,

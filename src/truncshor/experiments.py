@@ -1,11 +1,11 @@
 """Truncation sweeps and tries-until-factor ensembles.
 
 A "try" is one sampled measurement l of the control register; it succeeds
-when continued fractions on l yield factors (``orbit.factor_mask[l]``),
-and barren draws (l = 0 and friends) count as failed tries. All randomness
-flows from explicit seeds through a fixed avalanche mixer, and a seed's draws
-are ``np.random.default_rng(seed)``'s, computed for all seeds at once without
-numpy.random, so every result is reproducible bit for bit.
+when continued fractions on l yield factors (``orbit.factor_mask[l]``), and
+barren draws (l = 0 and friends) fail. An ensemble is two (cells, seeds) int64
+arrays, the tries and the winning l (-1 where capped). Seeds pass a fixed
+avalanche mixer, and a seed's draws are ``np.random.default_rng(seed)``'s,
+computed for all seeds at once without numpy.random: reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -179,50 +179,53 @@ def tries_ensemble(
     cells: Sequence[tuple[Orbit, PhaseDistribution]],
     seeds: Sequence[int],
     max_tries: int = 500,
-) -> list[list[TryOutcome]]:
-    """Tries until factor for every (orbit, dist) cell and seed: ``outcomes[c][i]``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tries until factor for every (orbit, dist) cell and seed: ``(tries, l)``, (cells, seeds) int64.
 
     Seed i's one stream serves every cell, read in chunks of 16, 32, ..., 4096, 4096, ...
     up to max_tries in all (the same doubles as one call) until each cell has won
     on it: fewer than 2 * tries + 16 values for its slowest cell. A cell wins at
-    the first ``dist.cdf`` outcome its ``factor_mask`` accepts, which splits N as
-    gcd(a**(r/2) -+ 1, N); a cell whose mask accepts none (odd r, or
-    a**(r/2) = -1 mod N) draws nothing. Seeds a cell never wins on are capped at max_tries.
+    the first ``dist.cdf`` outcome l its ``factor_mask`` accepts; a cell whose mask
+    accepts none (odd r, or a**(r/2) = -1 mod N) draws nothing. Seeds a cell never
+    wins on read tries = max_tries and l = -1.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     for orbit, dist in cells:
         if dist.m != orbit.instance.m:
             raise ValueError(f"distribution over m={dist.m} bits, instance has m={orbit.instance.m}")
-    outcomes = [[TryOutcome(tries=max_tries, capped=True)] * len(seeds) for _ in cells]
-    pairs = [extract_factors(o.instance, o.r) if o.factor_mask.any() else None for o, _ in cells]
-    pending = np.array([[pair is not None] * len(seeds) for pair in pairs], dtype=bool)
-    state, inc = _streams(seeds) if pending.any() else (None, None)
+    tries = np.zeros((len(cells), len(seeds)), np.int64)  # 0 while the (cell, seed) still draws
+    tries[[not orbit.factor_mask.any() for orbit, _ in cells]] = max_tries
+    l = np.full_like(tries, -1)
+    state, inc = (None, None) if tries.all() else _streams(seeds)
     offset, size = 0, 16
-    while offset < max_tries and (drawn := np.flatnonzero(pending.any(axis=0))).size:
+    while offset < max_tries and (drawn := np.flatnonzero((tries == 0).any(axis=0))).size:
         size = min(size, max_tries - offset)
         step = max(1, _BLOCK // size)  # seeds per block: at most _BLOCK doubles, or one chunk
         for group in (drawn[start : start + step] for start in range(0, drawn.size, step)):
             block, state[group] = _uniforms(state[group], inc[group], size)
             for c, (orbit, dist) in enumerate(cells):
-                rows = pending[c, group]
+                rows = tries[c, group] == 0
                 draws = dist.cdf.searchsorted(block[rows], side="right")
                 hits = orbit.factor_mask[draws]
                 first = hits.argmax(axis=1)
-                won = hits[np.arange(first.size), first]
+                won = hits.any(axis=1)
                 winners = group[rows][won]
-                for i, j, l in zip(winners, first[won], draws[won, first[won]]):
-                    outcomes[c][i] = TryOutcome(offset + int(j) + 1, False, int(l), pairs[c])
-                pending[c, winners] = False
+                tries[c, winners] = offset + first[won] + 1
+                l[c, winners] = draws[won, first[won]]
         offset, size = offset + size, min(2 * size, _CHUNK)
-    return outcomes
+    tries[tries == 0] = max_tries
+    return tries, l
 
 
 def tries_until_factor(
     orbit: Orbit, dist: PhaseDistribution, seed: int, max_tries: int = 500
 ) -> TryOutcome:
-    """Draw measurements until one yields factors: ``tries_ensemble`` for one cell and seed."""
-    return tries_ensemble([(orbit, dist)], [seed], max_tries)[0][0]
+    """``tries_ensemble`` of one cell and seed, as a ``TryOutcome`` with N's one factor pair."""
+    tries, l = (int(x[0, 0]) for x in tries_ensemble([(orbit, dist)], [seed], max_tries))
+    if l < 0:
+        return TryOutcome(tries, capped=True)
+    return TryOutcome(tries, False, l, extract_factors(orbit.instance, orbit.r))
 
 
 @dataclass(frozen=True)
@@ -314,14 +317,10 @@ def resolution_study(
         images = work_images(truncate(full, trnc_lv), 1 << len(full))
         dists = [exact_distribution(inst_m, images[: inst_m.M]) for inst_m in instances]
         seeds = [derive_seed(base_seed, trnc_lv, it) for it in range(num_it)]
-        ensemble = tries_ensemble(list(zip(orbits, dists)), seeds, max_tries)
-        for orbit_m, outcomes in zip(orbits, ensemble):
+        tries, l = tries_ensemble(list(zip(orbits, dists)), seeds, max_tries)
+        for orbit_m, row, capped in zip(orbits, tries, l < 0):
             out[(orbit_m.instance.m, trnc_lv)] = TriesResult(
-                orbit=orbit_m,
-                trnc_lv=trnc_lv,
-                tries=tuple(o.tries for o in outcomes),
-                capped=tuple(o.capped for o in outcomes),
-            )
+                orbit_m, trnc_lv, tuple(row.tolist()), tuple(capped.tolist()))
     return {(inst.m, t): out[(inst.m, t)] for inst in instances for t in trnc_levels}
 
 

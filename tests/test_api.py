@@ -139,6 +139,18 @@ def test_resolution_study_builds_no_peak_tables(monkeypatch):
     assert set(cells) == {(4, 0), (5, 0)}
 
 
+def test_resolution_study_builds_no_try_outcomes(monkeypatch):
+    def no_outcome(*args, **kwargs):
+        raise AssertionError("a TryOutcome was built")
+
+    monkeypatch.setattr(truncshor.experiments, "TryOutcome", no_outcome)
+    cells = truncshor.resolution_study(
+        truncshor.FactoringInstance(N=21, a=2, m=5), [4, 5], [0, 1], num_it=5, base_seed=1
+    )
+    assert set(cells) == {(4, 0), (4, 1), (5, 0), (5, 1)}
+    assert not all(all(res.capped) for res in cells.values())  # some seeds won
+
+
 # Each pipeline stage takes the previous stage's output and nothing that would redo it.
 STAGES = {
     "synth_me_operator": ["orbit", "p"],

@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 import stat
 import tracemalloc
 from pathlib import Path
@@ -580,6 +582,46 @@ def test_write_error_names_the_requested_path(tmp_path, capsys, where):
     code, _, err = run_cli(capsys, "run", "--N", "21", "--a", "2", "--m", "5", "--out", str(out_file))
     assert code == 2 and err.startswith("error: ")
     assert repr(str(out_file)) in err and ".tmp" not in err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the pipeline ran before the output directory was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--N", "247", "--a", "2", "--m", "17", "--trnc-lv", "10"],
+    ["study", "--N", "143", "--a", "5", "--m", "8,10", "--trnc", "0:19", "--num-it", "3000", "--seed", "1"],
+], ids=["run", "study"])
+@pytest.mark.parametrize("where, code", [("missing", errno.ENOENT), ("file", errno.ENOTDIR)],
+                         ids=["missing directory", "file in the way"])
+def test_output_directory_is_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, where, code):
+    for stage in ("build_orbit", "resolution_study"):
+        monkeypatch.setattr(cli, stage, _no_work)
+    (tmp_path / "file").touch()
+    out_file = tmp_path / where / "d" / "out.csv"
+    assert run_cli(capsys, *argv, "--out", str(out_file)) == (
+        2, "", f"error: [Errno {code}] {os.strerror(code)}: {str(out_file)!r}\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_synth_makes_its_directory_before_it_synthesizes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "synth_powers", _no_work)
+    (tmp_path / "file").touch()
+    out_dir = tmp_path / "file" / "circuits"
+    assert run_cli(capsys, "synth", "--N", "21", "--a", "2", "--powers", "1", "--out", str(out_dir)) == (
+        2, "", f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {str(out_dir)!r}\n"
+    )
+
+
+def test_synthesis_collision_removes_only_the_directories_it_made(tmp_path, capsys):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    code, out, err = run_cli(
+        capsys, "synth", "--N", "19", "--a", "2", "--powers", "1", "--out", str(kept / "a" / "b")
+    )
+    assert (code, out) == (2, "") and err.startswith("error: no path")
+    assert list(tmp_path.iterdir()) == [kept] and list(kept.iterdir()) == []
 
 
 @pytest.mark.parametrize("spec, message", [

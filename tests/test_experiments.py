@@ -405,18 +405,28 @@ def ensemble_cells():
 ENSEMBLE_SEEDS = [derive_seed(3, 19, i) for i in range(150)]
 
 
+def oracle_outcomes(cells, seeds, max_tries):
+    """``tries_until_factor_oracle`` for every cell and seed: ``tries_ensemble``'s two arrays, and the outcomes."""
+    outcomes = [[tries_until_factor_oracle(orbit, dist, seed, max_tries) for seed in seeds] for orbit, dist in cells]
+    tries = np.array([[o.tries for o in row] for row in outcomes], np.int64).reshape(len(cells), len(seeds))
+    l = np.array([[-1 if o.capped else o.l for o in row] for row in outcomes], np.int64).reshape(tries.shape)
+    return tries, l, outcomes
+
+
 @pytest.mark.parametrize("max_tries", [1, 15, 16, 17, 48, 49, 500])
 def test_tries_ensemble_matches_one_seed_at_a_time(max_tries):
     cells = ensemble_cells()
-    outcomes = tries_ensemble(cells, ENSEMBLE_SEEDS, max_tries)
-    assert outcomes == [
-        [tries_until_factor_oracle(orbit, dist, seed, max_tries) for seed in ENSEMBLE_SEEDS]
-        for orbit, dist in cells
-    ]
-    for o in (o for row in outcomes for o in row):
-        assert type(o.tries) is int and (o.l is None or type(o.l) is int)
-        assert o.capped or o.factors == (11, 13)
-    capped = [sum(o.capped for o in row) for row in outcomes]
+    tries, l = tries_ensemble(cells, ENSEMBLE_SEEDS, max_tries)
+    expected_tries, expected_l, outcomes = oracle_outcomes(cells, ENSEMBLE_SEEDS, max_tries)
+    assert tries.dtype == l.dtype == np.int64
+    assert tries.shape == l.shape == (len(cells), len(ENSEMBLE_SEEDS))
+    np.testing.assert_array_equal(tries, expected_tries)
+    np.testing.assert_array_equal(l, expected_l)
+    won = np.array([[not o.capped for o in row] for row in outcomes])
+    np.testing.assert_array_equal(l >= 0, won)
+    for (orbit, _), row_won in zip(cells, won):
+        assert not row_won.any() or extract_factors(orbit.instance, orbit.r) == (11, 13)
+    capped = (~won).sum(axis=1)
     assert capped[0] == len(ENSEMBLE_SEEDS)  # N=21, a=4 accepts no outcome
     assert 0 < capped[1] < len(ENSEMBLE_SEEDS)  # N=143, m=8, 19 levels truncated: some never win
 
@@ -425,10 +435,10 @@ def test_tries_ensemble_in_blocks_of_few_seeds(monkeypatch):
     # 64 doubles a block: chunks of 16 and 32 draw 4 and 2 seeds at a time, larger chunks 1
     monkeypatch.setattr(truncshor.experiments, "_BLOCK", 64)
     cells = ensemble_cells()
-    assert tries_ensemble(cells, ENSEMBLE_SEEDS, 500) == [
-        [tries_until_factor_oracle(orbit, dist, seed, 500) for seed in ENSEMBLE_SEEDS]
-        for orbit, dist in cells
-    ]
+    tries, l = tries_ensemble(cells, ENSEMBLE_SEEDS, 500)
+    expected_tries, expected_l, _ = oracle_outcomes(cells, ENSEMBLE_SEEDS, 500)
+    np.testing.assert_array_equal(tries, expected_tries)
+    np.testing.assert_array_equal(l, expected_l)
 
 
 def test_tries_ensemble_checks_every_cell_before_any_generator(monkeypatch):
@@ -439,7 +449,9 @@ def test_tries_ensemble_checks_every_cell_before_any_generator(monkeypatch):
     uniform = PhaseDistribution(m=5, probabilities=np.full(32, 1 / 32))
     barren = [(build_orbit(FactoringInstance(N=21, a=4, m=5)), uniform),
               (build_orbit(FactoringInstance(N=25, a=2, m=5)), uniform)]
-    assert tries_ensemble(barren, [1, 2, 3], 9) == [[TryOutcome(tries=9, capped=True)] * 3] * 2
+    tries, l = tries_ensemble(barren, [1, 2, 3], 9)
+    assert tries.shape == l.shape == (2, 3)
+    assert (tries == 9).all() and (l == -1).all()
     orbit = build_orbit(FactoringInstance(N=21, a=2, m=5))
     winning = (orbit, uniform)
     with pytest.raises(ValueError, match="max_tries must be >= 1, got 0"):
