@@ -12,7 +12,7 @@ images and certificates run it, each on the states they need alone, never
 on all 2^n.
 
 ``to_json_dict`` is the JSON schema. ``to_json`` writes the same text
-``json.dumps`` makes of it, but directly, from per-control strings.
+``json.dumps`` makes of it, but directly, from per-control and per-gate strings.
 
 Bit convention: qubit k is bit k of the basis integer, so qubit 0 is the
 least significant bit (the OpenQASM/Qiskit ordering). That convention is
@@ -59,7 +59,7 @@ class Gate:
             raise ValueError(f"target {self.target} is also a control")
         if self.target < 0 or min(qubits, default=0) < 0:
             raise ValueError(f"negative qubit in gate on {self.target} with controls {qubits}")
-        # synthesis builds the controls in ascending order; other input is sorted, and
+        # controls in ascending order are kept as they are; other input is sorted, and
         # as the qubits are distinct, that is the order of Control's own comparison
         if qubits != sorted(qubits):
             object.__setattr__(self, "controls", tuple(sorted(self.controls, key=lambda c: c.qubit)))
@@ -71,6 +71,14 @@ class Gate:
 
     def apply(self, w: int) -> int:
         return w ^ (1 << self.target) if self.fires(w) else w
+
+
+def _trusted_gate(target: int, controls: tuple[Control, ...]) -> Gate:
+    """A Gate built without ``__post_init__``: its controls are distinct, ascending and off the target."""
+    gate = object.__new__(Gate)
+    object.__setattr__(gate, "target", target)
+    object.__setattr__(gate, "controls", controls)
+    return gate
 
 
 @dataclass(frozen=True)
@@ -238,15 +246,16 @@ def from_json_dict(data: dict) -> LeveledCircuit:
     )
 
 
-def to_json(circuit: LeveledCircuit, indent: int | None = None) -> str:
+def to_json(circuit: LeveledCircuit, indent: int | str | None = None) -> str:
     """The text of ``json.dumps(to_json_dict(circuit), indent=indent)``, written directly.
 
     With ``indent`` set, ``json`` encodes in pure Python, object by object.
-    Here the text of each of the 2n possible controls is made once, and a
-    gate's text is joined from them. ``breaks[d]`` starts a line at depth
-    d (the top-level fields are at depth 1, a gate's fields at 4, a
-    control's at 6), and ``commas[d]`` separates items at that depth, as
-    ``json`` lays them out.
+    Here the text of each of the 2n possible controls is made once, and so
+    are the strings around a gate's target and controls, so each gate is
+    one f-string. ``breaks[d]`` starts a line at depth d (the top-level
+    fields are at depth 1, a gate's fields at 4, a control's at 6), and
+    ``commas[d]`` separates items at that depth, as ``json`` lays them out.
+    ``indent`` may be a number of spaces or a string, as for ``json.dumps``.
     """
     if indent is None:
         breaks, commas = [""] * 7, [", "] * 7
@@ -262,20 +271,17 @@ def to_json(circuit: LeveledCircuit, indent: int | None = None) -> str:
         return (brackets[0] + breaks[depth] + commas[depth].join(items)
                 + breaks[depth - 1] + brackets[1])
 
-    control_text = {
-        negated: [container("{}", [f'"q": {q}', f'"neg": {json.dumps(negated)}'], 6)
-                  for q in range(circuit.n_qubits)]
-        for negated in (False, True)
-    }
+    control_text = {negated: [container("{}", [f'"q": {q}', f'"neg": {json.dumps(negated)}'], 6)
+                              for q in range(circuit.n_qubits)] for negated in (False, True)}
+    # a gate is its head, target and tail; an "mcx" gate's controls go between a middle and the tail
+    x_head, mcx_head = (f'{{{breaks[4]}"gate": "{kind}"{commas[4]}"target": ' for kind in ("x", "mcx"))
+    middle, x_tail = f'{commas[4]}"controls": [{breaks[5]}', breaks[3] + "}"
+    mcx_tail = breaks[4] + "]" + x_tail
     levels = []
     for level in circuit.levels:
-        gates = []
-        for gate in level:
-            fields = [f'"gate": "{"mcx" if gate.controls else "x"}"', f'"target": {gate.target}']
-            if gate.controls:
-                controls = [control_text[c.negated][c.qubit] for c in gate.controls]
-                fields.append('"controls": ' + container("[]", controls, 5))
-            gates.append(container("{}", fields, 4))
+        gates = [f"{mcx_head}{gate.target}{middle}"
+                 f"{commas[5].join([control_text[c.negated][c.qubit] for c in gate.controls])}{mcx_tail}"
+                 if gate.controls else f"{x_head}{gate.target}{x_tail}" for gate in level]
         levels.append(container("[]", gates, 3))
     fields = [f'"{key}": {json.dumps(getattr(circuit, key))}'
               for key in ("n_qubits", "power", "trnc_lv", "version")]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -59,12 +60,16 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
         raise OSError(e.errno, e.strerror, str(path)) from e
 
 
-def _check_parent(path: Path) -> None:
-    """Raise now the OSError ``_write_atomic`` would raise for path's directory: make a temp file there."""
-    try:
-        tempfile.TemporaryFile(dir=path.parent).close()
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, str(path)) from e
+def _check_parent(*paths: Path) -> None:
+    """Raise now the OSError ``_write_atomic`` would raise for each path: for its directory, or
+    EISDIR for a directory at it (its rename would replace a link to one, not fail)."""
+    for path in paths:
+        try:
+            tempfile.TemporaryFile(dir=path.parent).close()
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        except OSError as e:
+            raise OSError(e.errno, e.strerror, str(path)) from e
 
 
 def _emit(args: argparse.Namespace, event: dict, text: str) -> None:
@@ -181,8 +186,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         else:
             path = out_dir / f"{stem}.qasm"
             _write_atomic(path, [qasm.to_qasm3(shared)])
-        if id(shared) not in certs:
-            certs[id(shared)] = json.dumps(circuit_mod.permutation_table(shared, orbit.states), indent=2) + "\n"
+        if id(shared) not in certs:  # the text of json.dumps(table, indent=2); its lists are never empty
+            table = circuit_mod.permutation_table(shared, orbit.states)
+            certs[id(shared)] = "{\n" + ",\n".join(f'  "{key}": [\n    ' + ",\n    ".join(map(str, values))
+                                                   + "\n  ]" for key, values in table.items()) + "\n}\n"
         cert_path = out_dir / f"{stem}_cert.json"
         _write_atomic(cert_path, [certs[id(shared)]])
         _emit(
@@ -269,7 +276,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     if (need := args.num_it * (_STUDY_BYTES_PER_IT + _STUDY_BYTES_PER_CELL_IT * num_cells)) > STUDY_BUDGET:
         raise ValueError(f"--num-it {args.num_it} needs {need:,} bytes; the study budget is {STUDY_BUDGET:,}")
     _at_least("--max-tries", args.max_tries, 1)
-    _check_parent(out_path)
+    _check_parent(out_path, json_path)
     cells = resolution_study(
         instance,
         m_values,

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
-from .circuit import VERSION_TRUNCATED, Control, Gate, LeveledCircuit, _check_width, _planes
+from .circuit import VERSION_TRUNCATED, Control, Gate, LeveledCircuit, _check_width, _planes, _trusted_gate
 from .modmath import Orbit, cycle_decomposition
 
 
@@ -52,14 +52,15 @@ def _greedy_controls(
     and every bit below it, and is allowed iff that union still covers
     every forbidden slot.
     """
-    differs = [plane & slots ^ (slots if fire_value >> q & 1 else 0) if q != target else 0
-               for q, plane in enumerate(planes)]
-    n_qubits = len(planes)
-    below = [0] * n_qubits  # below[q]: union of differs over the bits under q
-    for q in range(1, n_qubits):
-        below[q] = below[q - 1] | differs[q - 1]
+    differs, below, union = [], [], 0  # below[q]: union of differs over the bits under q
+    for q, plane in enumerate(planes):
+        below.append(union)
+        differs.append(0 if q == target else plane & slots ^ (slots if fire_value >> q & 1 else 0))
+        union |= differs[q]
     kept, controls = 0, []
-    for q in reversed(range(n_qubits)):
+    for q in reversed(range(len(planes))):
+        if kept == slots:  # every forbidden slot is excluded: no further bit is kept
+            break
         if q != target and kept | below[q] != slots:
             kept |= differs[q]
             controls.append(interned[q][not fire_value >> q & 1])
@@ -178,7 +179,7 @@ class _Trajectories:
             for w in (u, v):
                 if w in slot:
                     slots &= ~(1 << slot[w])
-            gates.append(Gate(target=bit, controls=_greedy_controls(planes, slots, u, interned, bit)))
+            gates.append(_trusted_gate(bit, _greedy_controls(planes, slots, u, interned, bit)))
             if v in slot:
                 i = slot[u] = slot.pop(v)
                 planes[bit] ^= 1 << i

@@ -605,6 +605,23 @@ def test_output_directory_is_checked_before_any_work(tmp_path, capsys, monkeypat
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+@pytest.mark.parametrize("argv, directory", [
+    (["run", "--N", "247", "--a", "2", "--m", "17", "--trnc-lv", "10"], "s.csv"),
+    (["study", "--N", "143", "--a", "5", "--m", "8,10", "--trnc", "0:19", "--seed", "1"], "s.csv"),
+    (["study", "--N", "143", "--a", "5", "--m", "8,10", "--trnc", "0:19", "--seed", "1"], "s.json"),
+], ids=["run", "study csv", "study json mirror"])
+def test_a_directory_at_an_output_path_is_found_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                                 directory):
+    for stage in ("build_orbit", "resolution_study"):
+        monkeypatch.setattr(cli, stage, _no_work)
+    (tmp_path / directory).mkdir()
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "s.csv")) == (
+        2, "", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path / directory)!r}\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
+    assert list((tmp_path / directory).iterdir()) == []
+
+
 def test_synth_makes_its_directory_before_it_synthesizes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "synth_powers", _no_work)
     (tmp_path / "file").touch()

@@ -41,7 +41,7 @@ def circuits(circuit_sets):
     return out
 
 
-@pytest.mark.parametrize("indent", [None, 0, 2, 4])
+@pytest.mark.parametrize("indent", [None, 0, 2, 4, "\t"])
 def test_to_json_is_json_dumps_of_the_schema(circuits, indent):
     for circuit in circuits:
         text = to_json(circuit, indent=indent)

@@ -17,6 +17,7 @@ from truncshor import (
     synth_all_powers,
     synth_level,
     synth_me_operator,
+    synth_powers,
     transition_order,
     truncate,
     work_images,
@@ -263,3 +264,31 @@ def test_gate_count_envelope(orbits, N):
         c.gate_count() for c in {id(x): x for x in synth_all_powers(orbit, m)}.values()
     )
     assert total <= m * n * orbit.r
+
+
+@pytest.mark.parametrize("N", sorted(CASES))
+def test_synthesized_gates_equal_checked_gates(orbits, N):
+    """Synthesis builds its gates unchecked; each equals, and hashes as, the checked Gate."""
+    orbit = orbits[N]
+    circuits = synth_powers(orbit, [1 << q for q in range(2 * orbit.instance.n + 1)])
+    for circuit in {id(c): c for c in circuits}.values():
+        for g in circuit.gates():
+            qubits = [c.qubit for c in g.controls]
+            assert type(g.controls) is tuple
+            assert qubits == sorted(set(qubits)) and g.target not in qubits
+            checked = Gate(g.target, g.controls)
+            assert checked == g and hash(checked) == hash(g)
+
+
+def test_synthesis_runs_no_gate_checks(orbits, monkeypatch):
+    def no_checks(self):
+        raise AssertionError("synthesis checked a gate")
+
+    monkeypatch.setattr(Gate, "__post_init__", no_checks)
+    with pytest.raises(AssertionError, match="synthesis checked a gate"):
+        Gate(0)
+    circuit = synth_me_operator(orbits[143], 1)
+    assert circuit.gate_count() > 0
+    monkeypatch.undo()
+    for k, state in enumerate(orbits[143].states):
+        assert apply_to_basis(circuit, state) == orbits[143].states[(k + 1) % orbits[143].r]
