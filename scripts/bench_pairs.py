@@ -139,8 +139,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for seed in range(SEEDS):
             for workload in workloads:
                 for side in order(seed):
-                    run = {"first": order(seed)[0], "side": side, "workload": workload, "seed": seed, "trace": 0,
-                           **bench(trees[side], workload, seed)}
+                    run = {"first": order(seed)[0], "side": side, "workload": workload, "seed": seed,
+                           "trace": 0, **bench(trees[side], workload, seed)}
                     runs.append(run)
                     wall = run["metrics"].get("wall_s", {}).get("value")
                     print(f"seed {seed} {workload:10s} {side:6s} exit {run['returncode']} wall_s {wall}",

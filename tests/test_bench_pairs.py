@@ -32,7 +32,8 @@ def test_summarize_compares_pairs_by_seed():
             for seed in range(5) for side in bench_pairs.order(seed)]
     # a change run that failed to report: its pair counts for neither side's statistics
     runs += [_run("synth", 5, "parent", wall=9.0, rss=33.0), _run("synth", 5, "change", correct=False)]
-    runs += [_run("wide", 0, side, wall=1.0, rss=70.0, failed=int(side == "change")) for side in bench_pairs.SIDES]
+    runs += [_run("wide", 0, side, wall=1.0, rss=70.0, failed=int(side == "change"))
+             for side in bench_pairs.SIDES]
     summary = bench_pairs.summarize(runs, ["wall_s", "peak_rss_mb", "setup_s"])
 
     assert list(summary) == ["synth", "wide"]
