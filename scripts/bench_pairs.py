@@ -16,7 +16,7 @@ both sides of a pair use the same seed. OUT gets ``description``,
 quartiles and how many pairs the change is lower or higher in) and
 ``runs`` (one record per run), and is rewritten after every pair.
 ``perfbench`` is only run, never imported. At a 30 s run length, one
-seed's pairs of four workloads take about five minutes.
+seed's pairs of four workloads take 4-5 minutes.
 """
 
 from __future__ import annotations
