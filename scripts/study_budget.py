@@ -5,27 +5,25 @@ Usage (from the root of a checkout):
     python3 scripts/study_budget.py
 
 Runs ``study --N 143 --a 5 --seed 1905`` at fixed points, one child
-interpreter at a time on this checkout's ``src``, each writing its CSV and
-JSON with ``--out`` into a temporary directory: one cell (``--m 8 --trnc 0``)
-at 150 and 100,000 iterations, and 40 cells (``--m 8,10 --trnc 0:19``) at
-3,000 and 30,000. For each run it prints the wall time and the child's peak
-RSS (``ru_maxrss``). Each series gives a slope, peak bytes per iteration;
-the line a + b * cells through the two slopes gives the coefficients that
-``cli._STUDY_BYTES_PER_IT`` (a) and ``cli._STUDY_BYTES_PER_CELL_IT`` (b)
-are set from, and the script prints both. The 40-cell run at 30,000
-iterations takes the longest, about 10 s; it is not part of the tests.
+interpreter at a time on this checkout's ``src`` (``scripts/fresh_child.py``),
+each writing its CSV and JSON with ``--out`` into a temporary directory: one
+cell (``--m 8 --trnc 0``) at 150 and 100,000 iterations, and 40 cells
+(``--m 8,10 --trnc 0:19``) at 3,000 and 30,000. For each run it prints the
+wall time and the child's peak RSS (``ru_maxrss``). Each series gives a
+slope, peak bytes per iteration; the line a + b * cells through the two
+slopes gives the coefficients that ``cli._STUDY_BYTES_PER_IT`` (a) and
+``cli._STUDY_BYTES_PER_CELL_IT`` (b) are set from, and the script prints
+both. The 40-cell run at 30,000 iterations takes the longest, about 10 s;
+it is not part of the tests.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import fresh_child
+
 BASE = ["--N", "143", "--a", "5", "--seed", "1905"]
 SERIES = ((1, ["--m", "8", "--trnc", "0"], (150, 100_000)),
           (40, ["--m", "8,10", "--trnc", "0:19"], (3_000, 30_000)))
@@ -33,15 +31,7 @@ SERIES = ((1, ["--m", "8", "--trnc", "0"], (150, 100_000)),
 
 def measure(args: list[str], out: Path) -> tuple[float, int]:
     """Wall seconds and peak RSS in bytes of one ``truncshor study`` child."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "truncshor.cli", "--quiet", "study", *BASE, *args,
-                              "--out", str(out)], env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)
-    if child.returncode:
-        raise SystemExit(f"study {' '.join(args)} exited {child.returncode}")
+    wall, usage = fresh_child.run(["study", *BASE, *args, "--out", str(out)])
     return wall, usage.ru_maxrss * 1024
 
 

@@ -12,7 +12,6 @@ from .circuit import (
     Gate,
     LeveledCircuit,
     apply_gates,
-    apply_to_basis,
     apply_to_basis_array,
     from_json,
     from_json_dict,

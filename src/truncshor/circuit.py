@@ -59,12 +59,8 @@ class Gate:
             raise ValueError(f"target {self.target} is also a control")
         if self.target < 0 or min(qubits, default=0) < 0:
             raise ValueError(f"negative qubit in gate on {self.target} with controls {qubits}")
-        # controls in ascending order are kept as they are; other input is sorted, and
-        # as the qubits are distinct, that is the order of Control's own comparison
-        if qubits != sorted(qubits):
-            object.__setattr__(self, "controls", tuple(sorted(self.controls, key=lambda c: c.qubit)))
-        elif type(self.controls) is not tuple:
-            object.__setattr__(self, "controls", tuple(self.controls))
+        # the qubits are distinct, so sorting by qubit is the order of Control's own comparison
+        object.__setattr__(self, "controls", tuple(sorted(self.controls, key=lambda c: c.qubit)))
 
     def fires(self, w: int) -> bool:
         return all(((w >> c.qubit) & 1 == 0) == c.negated for c in self.controls)
@@ -174,17 +170,8 @@ def apply_gates(gates: Iterable[Gate], values: np.ndarray) -> np.ndarray:
     return values
 
 
-def apply_to_basis(circuit: LeveledCircuit, w: int) -> int:
-    """Evaluate the circuit on one basis state, level by level, left to right."""
-    if not 0 <= w < (1 << circuit.n_qubits):
-        raise ValueError(f"basis state {w} outside {circuit.n_qubits} qubits")
-    for gate in circuit.gates():
-        w = gate.apply(w)
-    return w
-
-
 def apply_to_basis_array(circuit: LeveledCircuit, values: Iterable[int] | np.ndarray) -> np.ndarray:
-    """apply_to_basis over basis states, as a new int64 array: ``apply_gates`` on them alone."""
+    """The circuit's image of each basis state, as a new int64 array: ``apply_gates`` on them alone."""
     _check_width(circuit.n_qubits)
     values = np.array(values, dtype=np.int64)
     if values.size and not (0 <= values.min() and values.max() < 1 << circuit.n_qubits):

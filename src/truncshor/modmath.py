@@ -8,7 +8,6 @@ into candidate periods and factors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -300,32 +299,6 @@ class ConvergentReport:
             else:
                 lines.append(f"conv: ({s}, {r}) r = {r} : no factors found")
         return "\n".join(lines)
-
-    def to_json_dict(self, frequency: Optional[int] = None) -> dict:
-        """JSON form mirroring the text block's field names."""
-        d: dict = {
-            "l_measured": self.l_measured,
-            "phi_phase_bin": f"0.{self.phase_binary}",
-            "phi_phase_dec": self.phase_decimal,
-            "phi_phase_frc": list(self.phase_fraction),
-            "cont_frc_of_phi": list(self.cf_terms),
-            "convergents_of_phi": [list(c) for c in self.convergents],
-            "verdicts": [
-                {
-                    "conv": list(v.convergent),
-                    "r": v.convergent[1],
-                    "verdict": v.verdict,
-                    "factors": list(v.factors) if v.factors else None,
-                }
-                for v in self.verdicts
-            ],
-        }
-        if frequency is not None:
-            d["frequency"] = frequency
-        return d
-
-    def to_json(self, frequency: Optional[int] = None) -> str:
-        return json.dumps(self.to_json_dict(frequency=frequency), indent=2)
 
 
 def analyze_measurement(instance: FactoringInstance, l: int) -> ConvergentReport:

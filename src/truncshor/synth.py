@@ -196,11 +196,6 @@ class _Trajectories:
         self.sealed.add(target)
 
 
-def _flip_path(current: int, target: int, blocked: Iterable[int], n_qubits: int) -> list[int]:
-    """Shortest single-bit-flip path from current to target avoiding blocked values."""
-    return _Trajectories((), blocked, n_qubits).path(current, target)
-
-
 def synth_level(
     current: int,
     target: int,

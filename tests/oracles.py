@@ -1,16 +1,17 @@
 """Reference implementations the tests check the library against.
 
 None of these runs in the CLI or the pipeline. Each computes its result a
-second, independent way: the orbit's cycles under U^p by scanning, a
-brute-force concatenated U^p, the dense
-2^(m+n) statevector backend, the scalar control image, the work images
+second, independent way: a circuit on one basis state through ``Gate.apply``,
+the orbit's cycles under U^p by scanning, a brute-force concatenated U^p, the
+dense 2^(m+n) statevector backend, the scalar control image, the work images
 by doubling over ``Gate.apply`` alone, the closed-form
 eigenphase amplitudes and eigenvectors, the factor mask in one Euclid
 pass over every control value, the histogram CSV written one
 outcome at a time, the tries-until-factor run one seed at a time, the
 greedy control search over ``Control`` objects and as numpy reductions,
 the breadth-first flip-path search, the set-based synthesis level, and
-the QASM text printed from the lowered circuit.
+the QASM text printed from the lowered circuit. ``_flip_path`` is the seam
+that runs synthesis's own path search on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from truncshor.circuit import (
     LeveledCircuit,
     VERSION_CONCATENATED,
     VERSION_PER_POWER,
-    apply_to_basis,
     lower_negative_controls,
     permutation_table,
 )
@@ -41,7 +41,7 @@ from truncshor.modmath import (
     extract_factors,
 )
 from truncshor.shor import PhaseDistribution
-from truncshor.synth import ProtectedCollisionError
+from truncshor.synth import ProtectedCollisionError, _Trajectories
 
 
 class DimensionMismatchError(ValueError):
@@ -50,6 +50,15 @@ class DimensionMismatchError(ValueError):
 
 class TooLargeError(ValueError):
     """Dense backend would need more qubits than the configured cap."""
+
+
+def apply_to_basis(circuit: LeveledCircuit, w: int) -> int:
+    """Evaluate the circuit on one basis state, level by level, left to right."""
+    if not 0 <= w < (1 << circuit.n_qubits):
+        raise ValueError(f"basis state {w} outside {circuit.n_qubits} qubits")
+    for gate in circuit.gates():
+        w = gate.apply(w)
+    return w
 
 
 def _apply_gate_dense(state: np.ndarray, gate_target: int,
@@ -351,6 +360,10 @@ def greedy_controls_oracle(fire_value, forbidden, n_qubits, target):
             controls[q] = dropped
     return tuple(sorted(controls.values()))
 
+
+def _flip_path(current: int, target: int, blocked: Iterable[int], n_qubits: int) -> list[int]:
+    """Synthesis's shortest single-bit-flip path from current to target avoiding blocked values."""
+    return _Trajectories((), blocked, n_qubits).path(current, target)
 
 
 def bfs_flip_path_oracle(current, target, blocked, n_qubits):

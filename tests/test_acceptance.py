@@ -13,7 +13,6 @@ from truncshor import (
     FactoringInstance,
     Orbit,
     analyze_measurement,
-    apply_to_basis,
     build_orbit,
     cycle_decomposition,
     exact_distribution,
@@ -32,6 +31,7 @@ from truncshor import (
 from conftest import CASES
 from oracles import (
     analytic_amplitude,
+    apply_to_basis,
     apply_to_statevector,
     concatenate_power,
     eigenstate_vector,

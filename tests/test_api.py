@@ -4,25 +4,30 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
 
 import truncshor
+import truncshor.cli
 
 import oracles
 
 # Test-only reference implementations: they live in tests/oracles.py, not in the library.
 REFERENCES = {
     "circuit": [
-        "DimensionMismatchError", "_apply_gate_dense", "apply_to_statevector",
+        "DimensionMismatchError", "_apply_gate_dense", "apply_to_basis", "apply_to_statevector",
         "concatenate_power", "restricted_equal",
     ],
     "shor": [
         "TooLargeError", "control_image", "analytic_amplitude", "eigenstate_vector",
         "run_shor_dense",
     ],
+    "synth": ["_flip_path"],
 }
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -219,3 +224,73 @@ def test_stages_after_the_orbit_build_none(orbit_builds):
     truncshor.study_csv(results)
     truncshor.study_json(results)
     assert orbit_builds == []
+
+
+# The functions in src/ that no command enters: the names the benchmark's recorder wraps (TRACED)
+# and no command calls, with their helpers; the checked Gate constructor and the scalar gate
+# semantics, which synthesis's trusted gates and the bit-sliced kernel bypass; the circuit JSON
+# reader and schema; and the FFT's CPU count, which only M >= 2^17 asks for.
+NOT_RUN_BY_COMMANDS = {
+    "circuit.lower_negative_controls", "experiments.truncation_sweep",
+    "experiments.peak_presence", "modmath.analyze_measurement", "shor.histogram_csv",
+    "synth.minimize_controls", "synth.synth_level",
+    "modmath.continued_fraction", "modmath.convergents", "shor.nearest_phase_bin",
+    "modmath.ConvergentReport.to_text", "modmath.ConvergentReport.factors",
+    "modmath.ConvergentReport.phase_decimal",
+    "circuit.Gate.__post_init__", "circuit.Gate.fires", "circuit.Gate.apply",
+    "circuit.to_json_dict", "circuit.from_json_dict", "circuit.from_json",
+    "shor._cpu_count",
+}
+
+# Every command and outcome, at m <= 10: (argv, exit code).
+COMMAND_GRID = [
+    (["orbit", "--N", "143", "--a", "5"], 0),
+    (["synth", "--N", "143", "--a", "5", "--powers", "1:8", "--out", "json"], 0),
+    (["synth", "--N", "21", "--a", "2", "--powers", "1:16", "--trnc-lv", "1",
+      "--format", "qasm3", "--out", "qasm"], 0),
+    (["run", "--N", "143", "--a", "5", "--m", "10", "--trnc-lv", "3", "--out", "h.csv"], 0),
+    (["run", "--N", "21", "--a", "2", "--m", "5", "--shots", "64", "--seed", "1"], 0),
+    (["--quiet", "factor", "--N", "143", "--a", "5", "--m", "10", "--seed", "1"], 0),
+    (["factor", "--N", "21", "--a", "4", "--m", "5", "--seed", "1"], 3),  # r = 3 is odd: capped
+    (["factor", "--N", "21", "--a", "7", "--m", "5", "--seed", "1"], 0),  # 7 is a shared factor
+    (["study", "--N", "143", "--a", "5", "--m", "8,10", "--trnc", "0:2", "--num-it", "5",
+      "--seed", "1", "--out", "s.csv"], 0),
+]
+
+
+def package_functions(package: Path) -> set:
+    """"module.qualname" of every function and method the package's sources define."""
+    names = set()
+    for path in package.glob("*.py"):
+        codes = [compile(path.read_text(), str(path), "exec")]
+        while codes:
+            for const in codes.pop().co_consts:
+                if isinstance(const, types.CodeType):
+                    codes.append(const)
+                    # class bodies are not optimized; lambdas and comprehensions are "<...>"
+                    if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
+                        names.add(f"{path.stem}.{const.co_qualname}")
+    return names
+
+
+def test_commands_enter_every_function_but_the_stated_ones(monkeypatch, tmp_path, capsys):
+    package = Path(truncshor.__file__).parent
+    prefix = str(package) + os.sep
+    entered = set()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(prefix):
+            entered.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
+
+    monkeypatch.chdir(tmp_path)
+    for argv, code in COMMAND_GRID:
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            returned = truncshor.cli.main(argv)
+        finally:
+            sys.settrace(previous)
+        assert returned == code, argv
+    capsys.readouterr()
+    assert package_functions(package) - entered == NOT_RUN_BY_COMMANDS

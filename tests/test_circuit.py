@@ -9,7 +9,6 @@ from truncshor import (
     Gate,
     LeveledCircuit,
     apply_gates,
-    apply_to_basis,
     apply_to_basis_array,
     from_json,
     from_json_dict,
@@ -21,6 +20,7 @@ from truncshor import (
 
 from oracles import (
     DimensionMismatchError,
+    apply_to_basis,
     apply_to_statevector,
     concatenate_power,
     restricted_equal,

@@ -1,4 +1,3 @@
-import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -355,19 +354,6 @@ def test_factor_mask_temporaries_are_one_block():
         tracemalloc.stop()
     assert peak < 4 << 20
     assert mask.shape == (1 << 20,) and mask.any()
-
-
-def test_report_json_round_trip():
-    inst = FactoringInstance(N=21, a=2, m=5)
-    rep = analyze_measurement(inst, 5)
-    data = json.loads(rep.to_json(frequency=466))
-    assert data["l_measured"] == 5
-    assert data["frequency"] == 466
-    assert data["phi_phase_bin"] == "0.00101"
-    assert data["phi_phase_frc"] == [5, 32]
-    assert data["cont_frc_of_phi"] == [0, 6, 2, 2]
-    assert data["convergents_of_phi"][1] == [1, 6]
-    assert data["verdicts"][1]["factors"] == [7, 3]
 
 
 def test_report_phase_fields_reduced():

@@ -245,7 +245,8 @@ def test_exact_distribution_one_row_in_flight_uses_no_pool(monkeypatch, pools):
 
 @pytest.mark.parametrize("m, rows", [(17, 4), (19, 1)])
 def test_exact_distribution_calls_fft_on_4_rows_or_1(monkeypatch, fft_rows, m, rows):
-    # numpy's FFT takes 4 rows' scratch for any call of 2 or more rows and is fastest at 4;
+    # numpy's FFT takes 4 rows' scratch for any call of 2 or more rows, so a call is 4 rows or 1;
+    # per row, single-threaded, neither is reliably faster (measurements have put each first);
     # two workers' 4-row workspaces fit the budget at m = 17, not at m = 19
     use_cpus(monkeypatch, 2)
     inst = FactoringInstance(N=4087, a=3, m=m)

@@ -9,7 +9,6 @@ from truncshor import (
     Gate,
     LeveledCircuit,
     ProtectedCollisionError,
-    apply_to_basis,
     apply_to_basis_array,
     build_orbit,
     cycle_decomposition,
@@ -23,10 +22,10 @@ from truncshor import (
     work_images,
 )
 
-from truncshor.synth import _flip_path
-
 from conftest import CASES
 from oracles import (
+    _flip_path,
+    apply_to_basis,
     bfs_flip_path_oracle,
     concatenate_power,
     greedy_controls_oracle,

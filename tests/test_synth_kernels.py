@@ -1,7 +1,8 @@
 """The bit-plane control search and the depth-first flip-path search against their oracles.
 
 ``minimize_controls`` and every synthesis level run on integer bit planes,
-kept once per operator, and ``_flip_path`` routes around blocked values by a
+kept once per operator, and the path search (``_Trajectories.path``, run on
+its own through ``oracles._flip_path``) routes around blocked values by a
 depth-first search over walks of growing length, with no set of 2^n values;
 the oracles in ``tests/oracles.py`` are the scalar greedy search, the
 breadth-first search and the set-based level loop.
@@ -18,17 +19,21 @@ from truncshor import (
     Control,
     FactoringInstance,
     ProtectedCollisionError,
-    apply_to_basis,
     build_orbit,
     minimize_controls,
     synth_all_powers,
     synth_level,
     synth_me_operator,
 )
-from truncshor.synth import _flip_path
 
 from conftest import CASES
-from oracles import bfs_flip_path_oracle, greedy_controls_oracle, synth_level_oracle
+from oracles import (
+    _flip_path,
+    apply_to_basis,
+    bfs_flip_path_oracle,
+    greedy_controls_oracle,
+    synth_level_oracle,
+)
 
 
 def test_flip_path_matches_bfs_oracle_n9_to_12():
